@@ -1,10 +1,10 @@
 //! # dc-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! DreamCoder paper (see DESIGN.md's experiment index). Each figure has a
-//! binary (`cargo run --release -p dc-bench --bin fig7_accuracy`), and
-//! Criterion microbenches cover the hot algorithmic paths
-//! (`cargo bench --workspace`).
+//! The binaries that regenerate every table and figure of the DreamCoder
+//! paper (see DESIGN.md's experiment index), one per figure
+//! (`cargo run --release -p dc-bench --bin fig7_accuracy`). Performance is
+//! measured by the repository benchmark in `dcbench/` (see
+//! `BENCHMARK.json`), which reports end-to-end and per-layer figures.
 //!
 //! Budgets are laptop-scale: this reproduction runs on a single CPU where
 //! the paper used 20–128, so absolute numbers are smaller while the
@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use dc_grammar::enumeration::EnumerationConfig;
 use dc_vspace::CompressionConfig;
-use dc_wakesleep::{Condition, DreamCoderConfig, RecognitionConfig, RunSummary};
+use dc_wakesleep::{Condition, DreamCoderConfig, RecognitionConfig};
 
 /// Scale factor for benchmark budgets, settable via `DC_BENCH_SCALE`
 /// (default 1.0). `DC_BENCH_SCALE=4 cargo run ...` runs 4× longer
@@ -68,15 +68,6 @@ pub fn bench_config(condition: Condition, seed: u64) -> DreamCoderConfig {
     }
 }
 
-/// Pretty-print one accuracy row.
-pub fn print_row(label: &str, values: &[(String, f64)]) {
-    print!("{label:<18}");
-    for (name, v) in values {
-        print!(" | {name}: {:>5.1}%", 100.0 * v);
-    }
-    println!();
-}
-
 /// Write a JSON report under `results/<name>.json` (best effort).
 pub fn write_report<T: serde::Serialize>(name: &str, value: &T) {
     let dir = PathBuf::from("results");
@@ -96,27 +87,6 @@ pub fn write_report<T: serde::Serialize>(name: &str, value: &T) {
         if dc_telemetry::export_to_file(&tpath).is_ok() {
             println!("[telemetry written to {}]", tpath.display());
         }
-    }
-}
-
-/// Summarize a run for the console: final accuracy plus library stats.
-pub fn print_summary(summary: &RunSummary) {
-    println!(
-        "{:<18} final test: {:>5.1}%  library: {} inventions",
-        summary.condition,
-        100.0 * summary.final_test_solved,
-        summary.library.len()
-    );
-    for c in &summary.cycles {
-        println!(
-            "  cycle {}: train {}  test {:>5.1}%  |D|={} depth={} mean-solve {:.2}s",
-            c.cycle,
-            c.train_solved,
-            100.0 * c.test_solved,
-            c.library_size,
-            c.library_depth,
-            c.mean_solve_time
-        );
     }
 }
 

@@ -134,28 +134,11 @@ impl ProgramPrior for ContextualGrammar {
     }
 }
 
-/// One feasible choice at a generation choice point.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    /// Normalized log-probability of this choice.
-    pub log_prob: f64,
-    /// The chosen head (`Expr::Index`, `Expr::Primitive`, `Expr::Invented`).
-    pub expr: Expr,
-    /// Types its arguments must take (instantiated, in `ctx`).
-    pub arg_types: Vec<Type>,
-    /// The unification context after committing to this candidate.
-    pub ctx: Context,
-    /// Bigram parent context for generating the arguments.
-    pub child_parent: BigramParent,
-    /// Production index (`None` = a bound variable).
-    pub production: Option<usize>,
-}
-
 /// A feasible head, discovered by trial unification that was immediately
-/// rolled back: unlike [`Candidate`] it carries no cloned [`Context`] and
-/// no instantiated argument types. Expansion re-commits the head against
-/// the live context with [`commit_head`] — the allocation-lean protocol
-/// the enumerator's hot loop uses.
+/// rolled back: it carries no cloned [`Context`] and no instantiated
+/// argument types. Expansion re-commits the head against the live context
+/// with [`commit_head`] — the one head protocol the enumerator, the
+/// sampler and [`generation_trace`] share.
 #[derive(Debug, Clone)]
 pub struct CandidateHead {
     /// Normalized log-probability of this choice.
@@ -272,38 +255,6 @@ pub fn commit_head(
     };
     ctx.unify(t.returns(), request)?;
     Ok(t.arguments().into_iter().cloned().collect())
-}
-
-/// Enumerate the feasible heads for a hole of type `request` (a non-arrow
-/// type) in environment `env`, with normalized log-probabilities, each
-/// carrying the post-commit [`Context`]. Thin compatibility layer over
-/// [`candidate_heads`] + [`commit_head`] for callers that want every
-/// branch materialized; hot loops should use the head API directly.
-pub fn candidates(
-    prior: &dyn ProgramPrior,
-    parent: BigramParent,
-    arg: usize,
-    ctx: &Context,
-    env: &[Type],
-    request: &Type,
-) -> Vec<Candidate> {
-    let mut scratch = ctx.clone();
-    candidate_heads(prior, parent, arg, &mut scratch, env, request)
-        .into_iter()
-        .map(|head| {
-            let mut c = ctx.clone();
-            let arg_types = commit_head(prior, &mut c, env, request, &head)
-                .expect("head feasibility established under the same context");
-            Candidate {
-                log_prob: head.log_prob,
-                expr: head.expr,
-                arg_types,
-                ctx: c,
-                child_parent: head.child_parent,
-                production: head.production,
-            }
-        })
-        .collect()
 }
 
 /// A choice made during generation, with enough context to train a
@@ -431,10 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn candidates_filter_by_type() {
+    fn candidate_heads_filter_by_type() {
         let (g, _) = setup();
         let ctx = Context::new();
-        let cands = candidates(&g, BigramParent::Start, 0, &ctx, &[], &tint());
+        let mut scratch = ctx.clone();
+        let cands = candidate_heads(&g, BigramParent::Start, 0, &mut scratch, &[], &tint());
+        assert_eq!(scratch, ctx, "trial unifications must be rolled back");
         // int-returning heads: length, index, +, -, *, mod, 0, 1, if, fix, car, fold...
         assert!(cands.iter().any(|c| c.expr.to_string() == "+"));
         assert!(cands.iter().any(|c| c.expr.to_string() == "0"));
@@ -449,7 +402,9 @@ mod tests {
     fn variables_are_candidates() {
         let (g, _) = setup();
         let ctx = Context::new();
-        let cands = candidates(&g, BigramParent::Start, 0, &ctx, &[tint()], &tint());
+        let mut scratch = ctx.clone();
+        let cands = candidate_heads(&g, BigramParent::Start, 0, &mut scratch, &[tint()], &tint());
+        assert_eq!(scratch, ctx, "trial unifications must be rolled back");
         assert!(cands.iter().any(|c| matches!(c.expr, Expr::Index(0))));
     }
 

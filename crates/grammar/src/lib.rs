@@ -42,8 +42,7 @@ pub mod sample;
 pub use etalong::eta_long;
 pub use frontier::{Frontier, FrontierEntry};
 pub use grammar::{
-    candidates, generation_trace, log_prior, Candidate, ContextualGrammar, GenEvent, Grammar,
-    ProgramPrior,
+    generation_trace, log_prior, ContextualGrammar, GenEvent, Grammar, ProgramPrior,
 };
 pub use inside_outside::{fit_contextual_grammar, fit_grammar, DEFAULT_PSEUDOCOUNT};
 pub use library::{logsumexp, BigramParent, Library, LibraryItem, WeightVector};

@@ -5,7 +5,7 @@ use dc_lambda::expr::Expr;
 use dc_lambda::types::{Context, Type};
 use rand::Rng;
 
-use crate::grammar::{candidates, ProgramPrior};
+use crate::grammar::{candidate_heads, commit_head, ProgramPrior};
 use crate::library::BigramParent;
 
 /// Sample a program of type `request`. Returns `None` if generation blows
@@ -51,8 +51,8 @@ fn sample_inner<R: Rng + ?Sized>(
         env.remove(0);
         return body.map(Expr::abstraction);
     }
-    let cands = candidates(prior, parent, arg, ctx, env, &request);
-    if cands.is_empty() {
+    let heads = candidate_heads(prior, parent, arg, ctx, env, &request);
+    if heads.is_empty() {
         return None;
     }
     // Sample proportional to exp(log_prob). Candidate probabilities are
@@ -61,31 +61,23 @@ fn sample_inner<R: Rng + ?Sized>(
     // the last candidate would silently hand that missing mass to whoever
     // sorts last. Scaling the draw by the actual total mass keeps every
     // candidate at exactly its normalized probability.
-    let total: f64 = cands.iter().map(|c| c.log_prob.exp()).sum();
+    let total: f64 = heads.iter().map(|c| c.log_prob.exp()).sum();
     let u: f64 = rng.gen::<f64>() * total;
     let mut acc = 0.0;
-    let mut chosen = cands.len() - 1;
-    for (i, c) in cands.iter().enumerate() {
+    let mut chosen = heads.len() - 1;
+    for (i, c) in heads.iter().enumerate() {
         acc += c.log_prob.exp();
         if u <= acc {
             chosen = i;
             break;
         }
     }
-    let cand = &cands[chosen];
-    *ctx = cand.ctx.clone();
-    let mut expr = cand.expr.clone();
-    for (k, at) in cand.arg_types.iter().enumerate() {
-        let a = sample_inner(
-            prior,
-            ctx,
-            env,
-            cand.child_parent,
-            k,
-            at.clone(),
-            rng,
-            depth - 1,
-        )?;
+    let head = &heads[chosen];
+    let arg_types = commit_head(prior, ctx, env, &request, head)
+        .expect("head feasibility established under the same context");
+    let mut expr = head.expr.clone();
+    for (k, at) in arg_types.into_iter().enumerate() {
+        let a = sample_inner(prior, ctx, env, head.child_parent, k, at, rng, depth - 1)?;
         expr = Expr::application(expr, a);
     }
     Some(expr)

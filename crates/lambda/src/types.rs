@@ -262,7 +262,7 @@ impl std::error::Error for UnificationError {}
 /// unification can be wound back with [`Context::checkpoint`] /
 /// [`Context::rollback`] instead of cloning the whole substitution —
 /// the enumerator's hot path relies on this.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Context {
     substitution: HashMap<usize, Type>,
     next_variable: usize,
@@ -390,12 +390,6 @@ impl Context {
         }
     }
 
-    /// Test whether two types *could* unify, without mutating `self`.
-    pub fn might_unify(&self, a: &Type, b: &Type) -> bool {
-        let mut scratch = self.clone();
-        scratch.unify(a, b).is_ok()
-    }
-
     fn error(&self, a: &Type, b: &Type) -> UnificationError {
         UnificationError {
             left: a.apply(self).to_string(),
@@ -491,16 +485,6 @@ mod tests {
             t.canonicalize(),
             Type::arrow(tvar(0), Type::arrow(tvar(1), tvar(0)))
         );
-    }
-
-    #[test]
-    fn might_unify_does_not_mutate() {
-        let ctx = Context::new();
-        assert!(ctx.might_unify(&tvar(0), &tint()));
-        assert!(!ctx.might_unify(&tint(), &tbool()));
-        // Original context unchanged: fresh unification still possible.
-        let mut ctx2 = ctx.clone();
-        ctx2.unify(&tvar(0), &tbool()).unwrap();
     }
 
     #[test]

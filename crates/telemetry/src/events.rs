@@ -9,9 +9,9 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use parking_lot::Mutex;
 use serde_json::Value;
 
 /// Event severity. Ordered so a sink can filter with `level >= min`.
@@ -142,14 +142,19 @@ impl EventSink {
     }
 
     pub(crate) fn install(&self, writer: Box<dyn Write + Send>, min_level: Level) {
-        *self.writer.lock() = Some(writer);
+        *self.writer.lock().unwrap_or_else(PoisonError::into_inner) = Some(writer);
         self.min_level.store(min_level as u8, Ordering::Release);
     }
 
     /// Remove the sink, flushing and returning nothing.
     pub(crate) fn uninstall(&self) {
         self.min_level.store(NO_SINK, Ordering::Release);
-        if let Some(mut w) = self.writer.lock().take() {
+        if let Some(mut w) = self
+            .writer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
             let _ = w.flush();
         }
     }
@@ -176,14 +181,19 @@ impl EventSink {
             Ok(line) => line,
             Err(_) => return,
         };
-        let mut guard = self.writer.lock();
+        let mut guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(writer) = guard.as_mut() {
             let _ = writeln!(writer, "{line}");
         }
     }
 
     pub(crate) fn flush(&self) {
-        if let Some(writer) = self.writer.lock().as_mut() {
+        if let Some(writer) = self
+            .writer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_mut()
+        {
             let _ = writer.flush();
         }
     }

@@ -8,7 +8,8 @@
 //!   workers increment without contending;
 //! * [`Gauge`] — last-write-wins values (library size, current loss);
 //! * [`Histogram`] — log-bucketed timing distributions (per-candidate
-//!   refactor time, per-phase wall-clock).
+//!   refactor time, per-phase wall-clock), fed by the [`span()`] of the same
+//!   name: spans are the one way to time a region.
 //!
 //! Plus a leveled JSONL [`event`] sink replacing ad-hoc `eprintln!`.
 //!
@@ -39,10 +40,8 @@
 //! measured.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
-use parking_lot::RwLock;
 use serde::Serialize;
 
 mod counters;
@@ -92,6 +91,12 @@ pub fn is_enabled() -> bool {
 /// Registry of named metrics. Lookup takes a read lock; the returned
 /// handles are `&'static` (leaked once per distinct name) so hot paths
 /// look up once and then touch only atomics.
+///
+/// Every lock in this crate recovers from poisoning
+/// (`PoisonError::into_inner`): the panic hook flushes telemetry, so a
+/// panic while a lock is held must not turn that flush, or any later
+/// recording, into a second panic. The data stays usable: tables grow
+/// only by whole entries, and at worst the event sink holds a torn line.
 struct Registry {
     counters: RwLock<Vec<(&'static str, &'static Counter)>>,
     gauges: RwLock<Vec<(&'static str, &'static Gauge)>>,
@@ -120,10 +125,15 @@ fn lookup<T>(
     name: &'static str,
     make: impl FnOnce() -> T,
 ) -> &'static T {
-    if let Some((_, existing)) = table.read().iter().find(|(n, _)| *n == name) {
+    if let Some((_, existing)) = table
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+        .find(|(n, _)| *n == name)
+    {
         return existing;
     }
-    let mut write = table.write();
+    let mut write = table.write().unwrap_or_else(PoisonError::into_inner);
     // Double-check: another thread may have registered between locks.
     if let Some((_, existing)) = write.iter().find(|(n, _)| *n == name) {
         return existing;
@@ -204,43 +214,6 @@ impl CachedCounter {
 pub fn set_gauge(name: &'static str, value: f64) {
     if is_enabled() {
         gauge(name).set(value);
-    }
-}
-
-/// Record a duration into the named histogram (no-op while disabled).
-#[inline]
-pub fn record_duration(name: &'static str, duration: Duration) {
-    if is_enabled() {
-        histogram(name).record(duration);
-    }
-}
-
-/// Time a scope: records into the named histogram when the guard drops.
-/// While telemetry is disabled the guard does nothing on drop.
-#[must_use = "the timer records when dropped; binding to _ drops immediately"]
-pub struct TimerGuard {
-    name: &'static str,
-    start: Instant,
-}
-
-impl TimerGuard {
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        record_duration(self.name, self.start.elapsed());
-    }
-}
-
-/// Start a timer guard for the named histogram.
-pub fn time(name: &'static str) -> TimerGuard {
-    TimerGuard {
-        name,
-        start: Instant::now(),
     }
 }
 
@@ -327,18 +300,21 @@ pub fn snapshot() -> TelemetrySnapshot {
     let counters = reg
         .counters
         .read()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(name, c)| ((*name).to_owned(), c.value()))
         .collect();
     let gauges = reg
         .gauges
         .read()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(name, g)| ((*name).to_owned(), g.value()))
         .collect();
     let histograms = reg
         .histograms
         .read()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(name, h)| {
             (
@@ -388,9 +364,11 @@ mod tests {
 
     /// The enable flag is process-global, so tests that toggle it must
     /// not interleave.
-    fn flag_lock() -> parking_lot::MutexGuard<'static, ()> {
-        static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-        LOCK.lock()
+    use std::sync::{Mutex, MutexGuard};
+
+    fn flag_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
@@ -431,25 +409,13 @@ mod tests {
         enable();
         add("test.snapshot.count", 7);
         set_gauge("test.snapshot.gauge", 1.5);
-        record_duration("test.snapshot.hist", Duration::from_millis(2));
+        histogram("test.snapshot.hist").record(std::time::Duration::from_millis(2));
         let snap = snapshot();
         assert_eq!(snap.counters["test.snapshot.count"], 7);
         assert_eq!(snap.gauges["test.snapshot.gauge"], 1.5);
         assert_eq!(snap.histograms["test.snapshot.hist"].count, 1);
         let json = export_json();
         assert!(json.contains("test.snapshot.count"));
-        disable();
-    }
-
-    #[test]
-    fn timer_guard_records_on_drop() {
-        let _serial = flag_lock();
-        enable();
-        {
-            let _guard = time("test.timer");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(histogram("test.timer").count() >= 1);
         disable();
     }
 }

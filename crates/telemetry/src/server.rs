@@ -30,10 +30,8 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 
 use crate::events::FieldValue;
 
@@ -51,13 +49,19 @@ fn server_epoch() -> &'static Instant {
 /// Publish (or overwrite) one field of the `/status` document. Cheap
 /// enough to call at every phase boundary; takes a short write lock.
 pub fn set_status(key: &str, value: impl Into<FieldValue>) {
-    status_fields().write().insert(key.to_owned(), value.into());
+    status_fields()
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(key.to_owned(), value.into());
 }
 
 /// Remove every published status field (test isolation).
 #[doc(hidden)]
 pub fn clear_status() {
-    status_fields().write().clear();
+    status_fields()
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
 }
 
 /// Milliseconds since the unix epoch (0 if the clock is before 1970).
@@ -93,15 +97,30 @@ const NS_PER_S: f64 = 1e9;
 pub fn prometheus_text() -> String {
     let mut out = String::new();
     let reg = crate::registry_for_export();
-    for (name, c) in reg.counters.read().iter() {
+    for (name, c) in reg
+        .counters
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+    {
         let pn = prom_name(name);
         out.push_str(&format!("# TYPE {pn} counter\n{pn} {}\n", c.value()));
     }
-    for (name, g) in reg.gauges.read().iter() {
+    for (name, g) in reg
+        .gauges
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+    {
         let pn = prom_name(name);
         out.push_str(&format!("# TYPE {pn} gauge\n{pn} {}\n", g.value()));
     }
-    for (name, h) in reg.histograms.read().iter() {
+    for (name, h) in reg
+        .histograms
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+    {
         let pn = prom_name(name);
         out.push_str(&format!("# TYPE {pn}_seconds histogram\n"));
         let mut cumulative = 0u64;
@@ -139,7 +158,9 @@ pub fn status_json() -> String {
         "uptime_seconds".to_owned(),
         Value::Number(Number::U64(server_epoch().elapsed().as_secs())),
     );
-    let fields = status_fields().read();
+    let fields = status_fields()
+        .read()
+        .unwrap_or_else(PoisonError::into_inner);
     for (key, value) in fields.iter() {
         root.insert(key.clone(), value.to_json());
     }
@@ -287,7 +308,7 @@ mod tests {
         crate::enable();
         crate::add("test.server.counter", 3);
         crate::set_gauge("test.server.gauge", 2.5);
-        crate::record_duration("test.server.hist", Duration::from_millis(5));
+        crate::histogram("test.server.hist").record(Duration::from_millis(5));
         set_status("phase", "wake");
         set_status("cycle", 2u64);
 

@@ -14,8 +14,8 @@
 //! * telemetry disabled: one relaxed load and a predictable branch;
 //! * telemetry enabled, node already interned: a read-locked hash lookup on
 //!   entry plus a handful of relaxed atomic adds on drop — cheap enough to
-//!   leave on at per-task granularity (the bench harness asserts the
-//!   enumeration workload stays within 5% of the uninstrumented wall);
+//!   leave on at per-task granularity (CI asserts that the traced
+//!   `search_list` benchmark run stays within 5% of the untraced wall);
 //! * first entry of a new `(parent, name)` pair: one write-locked insert.
 //!
 //! Spans additionally feed the [`crate::histogram`] of the same name, so
@@ -52,10 +52,9 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 
 use crate::events::FieldValue;
@@ -101,10 +100,15 @@ fn registry() -> &'static RwLock<SpanRegistry> {
 
 /// Find or create the node for `(parent, name)`.
 fn intern(parent: u64, name: &'static str) -> &'static SpanNode {
-    if let Some(node) = registry().read().by_key.get(&(parent, name)) {
+    if let Some(node) = registry()
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .by_key
+        .get(&(parent, name))
+    {
         return node;
     }
-    let mut reg = registry().write();
+    let mut reg = registry().write().unwrap_or_else(PoisonError::into_inner);
     if let Some(node) = reg.by_key.get(&(parent, name)) {
         return node;
     }
@@ -127,7 +131,12 @@ fn node_by_id(id: u64) -> Option<&'static SpanNode> {
     if id == 0 {
         return None;
     }
-    registry().read().nodes.get(id as usize - 1).copied()
+    registry()
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .nodes
+        .get(id as usize - 1)
+        .copied()
 }
 
 thread_local! {
@@ -346,7 +355,7 @@ fn snapshot_subtree(
 /// The aggregated span tree, children sorted by name at every level (so the
 /// export is deterministic regardless of interning order).
 pub fn span_tree() -> Vec<SpanSnapshot> {
-    let reg = registry().read();
+    let reg = registry().read().unwrap_or_else(PoisonError::into_inner);
     let mut children_of: BTreeMap<u64, Vec<&'static SpanNode>> = BTreeMap::new();
     for node in &reg.nodes {
         children_of.entry(node.parent).or_default().push(node);
@@ -384,11 +393,15 @@ pub fn span_shape() -> Vec<(String, u64)> {
 /// must ensure no span guards are live.
 #[doc(hidden)]
 pub fn reset_spans() {
-    let mut reg = registry().write();
+    let mut reg = registry().write().unwrap_or_else(PoisonError::into_inner);
     reg.by_key.clear();
     reg.nodes.clear();
     drop(reg);
-    trace_buffer().events.lock().clear();
+    trace_buffer()
+        .events
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -452,7 +465,7 @@ fn record_trace_event(name: &'static str, active: &ActiveSpan, ns: u64) {
     let dur_us = ns / 1_000;
     let ts_us = end_us.saturating_sub(dur_us);
     let tid = TRACE_TID.with(|t| *t);
-    let mut events = buf.events.lock();
+    let mut events = buf.events.lock().unwrap_or_else(PoisonError::into_inner);
     if events.len() >= TRACE_CAPACITY {
         drop(events);
         crate::incr("trace.events_dropped");
@@ -471,7 +484,10 @@ fn record_trace_event(name: &'static str, active: &ActiveSpan, ns: u64) {
 /// (`{"traceEvents": [...]}`), loadable in `chrome://tracing` / Perfetto.
 pub fn chrome_trace_json() -> String {
     use serde_json::{Number, Value};
-    let events = trace_buffer().events.lock();
+    let events = trace_buffer()
+        .events
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let rendered: Vec<Value> = events
         .iter()
         .map(|e| {
@@ -519,9 +535,11 @@ mod tests {
 
     /// Span state is process-global; tests that toggle the enable flag or
     /// reset the registry must not interleave.
-    fn serial() -> parking_lot::MutexGuard<'static, ()> {
-        static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-        LOCK.lock()
+    use std::sync::MutexGuard;
+
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn find<'a>(spans: &'a [SpanSnapshot], name: &str) -> Option<&'a SpanSnapshot> {

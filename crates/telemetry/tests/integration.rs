@@ -1,16 +1,15 @@
 //! Cross-thread and serialization guarantees of the telemetry subsystem.
 
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dc_telemetry::{FieldValue, Histogram, Level};
-use parking_lot::Mutex;
 
 /// The enable flag and the event sink are process-global; tests that
 /// touch them must not interleave.
-fn serial() -> parking_lot::MutexGuard<'static, ()> {
+fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[test]
@@ -63,7 +62,10 @@ struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
 impl Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().extend_from_slice(buf);
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -89,7 +91,7 @@ fn jsonl_sink_round_trips_through_serde_json() {
     );
     dc_telemetry::event(Level::Debug, "test.second", &[("n", FieldValue::I64(-3))]);
     dc_telemetry::clear_event_sink();
-    let bytes = buf.0.lock().clone();
+    let bytes = buf.0.lock().unwrap_or_else(PoisonError::into_inner).clone();
     dc_telemetry::disable();
 
     let text = String::from_utf8(bytes).expect("sink output is UTF-8");
@@ -119,10 +121,60 @@ fn events_below_sink_level_are_filtered() {
     dc_telemetry::event(Level::Debug, "test.filtered", &[]);
     dc_telemetry::event(Level::Warn, "test.kept", &[]);
     dc_telemetry::clear_event_sink();
-    let text = String::from_utf8(buf.0.lock().clone()).unwrap();
+    let text =
+        String::from_utf8(buf.0.lock().unwrap_or_else(PoisonError::into_inner).clone()).unwrap();
     dc_telemetry::disable();
     assert_eq!(text.lines().count(), 1);
     assert!(text.contains("test.kept"));
+}
+
+/// A sink whose first write panics, as a failing writer inside the panic
+/// hook's flush would; later writes land in the shared buffer.
+struct PanicOnce {
+    armed: bool,
+    buf: SharedBuf,
+}
+
+impl Write for PanicOnce {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if std::mem::take(&mut self.armed) {
+            panic!("sink writer failed");
+        }
+        self.buf.write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn telemetry_survives_a_panicking_event_sink() {
+    let _guard = serial();
+    dc_telemetry::enable();
+    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    dc_telemetry::set_event_sink(
+        Box::new(PanicOnce {
+            armed: true,
+            buf: buf.clone(),
+        }),
+        Level::Info,
+    );
+    let panicked = std::panic::catch_unwind(|| {
+        dc_telemetry::event(Level::Info, "test.poison", &[]);
+    });
+    assert!(panicked.is_err(), "the writer's panic reaches the caller");
+    // The sink's lock was poisoned mid-write; every later use recovers it.
+    dc_telemetry::event(Level::Info, "test.after_poison", &[]);
+    dc_telemetry::flush_events();
+    dc_telemetry::add("test.after_poison.counter", 1);
+    let snap = dc_telemetry::snapshot();
+    dc_telemetry::clear_event_sink();
+    dc_telemetry::disable();
+    assert_eq!(snap.counters["test.after_poison.counter"], 1);
+    let text =
+        String::from_utf8(buf.0.lock().unwrap_or_else(PoisonError::into_inner).clone()).unwrap();
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(text.contains("test.after_poison"));
 }
 
 #[test]
@@ -131,7 +183,7 @@ fn snapshot_json_parses_back() {
     dc_telemetry::enable();
     dc_telemetry::add("test.export.counter", 5);
     dc_telemetry::set_gauge("test.export.gauge", 2.5);
-    dc_telemetry::record_duration("test.export.hist", std::time::Duration::from_millis(3));
+    dc_telemetry::histogram("test.export.hist").record(std::time::Duration::from_millis(3));
     let json = dc_telemetry::export_json();
     dc_telemetry::disable();
     let value: serde_json::Value = serde_json::from_str(&json).expect("export parses");

@@ -307,19 +307,22 @@ pub fn compress(
         // atomic, so they are parallel-safe), then reduce with a stable
         // first-max: ties keep the lowest proposal index, replicating the
         // sequential `score > best` loop regardless of thread arrival.
+        // Workers start with empty span stacks: carry the caller's span in
+        // so the candidate spans nest identically at any thread count.
+        let parent = dc_telemetry::current_span();
         let score_proposal = |proposal: &CandidateProposal| {
             let name = format!("#{}", proposal.body);
             let invention = Invented::new(&name, proposal.body.clone()).ok()?;
-            let candidate_timer = dc_telemetry::time("compression.candidate_time");
+            let candidate_span = dc_telemetry::span_under(parent, "compression.candidate_time");
             let mut lib2 = (*library).clone();
             lib2.push_invented(Arc::clone(&invention));
             let lib2 = Arc::new(lib2);
-            let rewrite_timer = dc_telemetry::time("compression.rewrite_time");
+            let rewrite_span = dc_telemetry::span("compression.rewrite_time");
             let mut rewritten = rewrite_frontiers(&frontiers, &program_spaces, &invention);
-            drop(rewrite_timer);
-            let score_timer = dc_telemetry::time("compression.score_time");
+            drop(rewrite_span);
+            let score_span = dc_telemetry::span("compression.score_time");
             let (g2, score) = joint_score(&lib2, &mut rewritten, config);
-            drop(score_timer);
+            drop(score_span);
             dc_telemetry::incr("compression.candidates_scored");
             if score == f64::NEG_INFINITY && dc_telemetry::event_enabled(dc_telemetry::Level::Warn)
             {
@@ -360,7 +363,7 @@ pub fn compress(
                     ],
                 );
             }
-            drop(candidate_timer);
+            drop(candidate_span);
             Some((score, invention, rewritten, g2))
         };
         type Scored = Option<(f64, Arc<Invented>, Vec<Frontier>, Grammar)>;

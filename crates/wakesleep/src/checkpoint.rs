@@ -179,7 +179,7 @@ impl Checkpoint {
     /// # Errors
     /// [`CheckpointError::Io`] on any filesystem failure.
     pub fn write_atomic(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
-        let timer = dc_telemetry::time("checkpoint.write_time");
+        let span = dc_telemetry::span("checkpoint.write_time");
         fs::create_dir_all(dir)?;
         let json = serde_json::to_string(self)
             .map_err(|e| CheckpointError::Corrupt(format!("serialize failed: {e}")))?;
@@ -199,10 +199,10 @@ impl Checkpoint {
             &[
                 ("cycles_completed", self.cycles_completed.into()),
                 ("bytes", json.len().into()),
-                ("ms", (timer.elapsed().as_millis() as u64).into()),
+                ("ms", (span.elapsed().as_millis() as u64).into()),
             ],
         );
-        drop(timer);
+        drop(span);
         Ok(final_path)
     }
 

@@ -372,7 +372,7 @@ impl<'d> DreamCoder<'d> {
         let times: Vec<f64> = if self.config.deterministic_timing {
             Vec::new()
         } else {
-            results.iter().filter_map(|r| r.solve_time).collect()
+            results.iter().filter_map(|r| r.trace.solve_time).collect()
         };
         let solved = results.iter().filter(|r| !r.frontier.is_empty()).count();
         (solved as f64 / tasks.len() as f64, times)

@@ -104,11 +104,8 @@ impl SearchTrace {
 pub struct TaskSearchResult {
     /// The beam of solutions found (possibly empty).
     pub frontier: Frontier,
-    /// Seconds until the *first* solution, if any (Appendix Fig 20).
-    pub solve_time: Option<f64>,
-    /// Programs enumerated.
-    pub programs_enumerated: usize,
-    /// Search forensics for this task.
+    /// Search forensics for this task, including the seconds until the
+    /// first solution (Appendix Fig 20) and the programs enumerated.
     pub trace: SearchTrace,
 }
 
@@ -164,12 +161,7 @@ pub fn search_task(
         hit_depth: best.map(|e| e.expr.depth()),
         solve_time,
     };
-    TaskSearchResult {
-        frontier,
-        solve_time,
-        programs_enumerated: stats.programs,
-        trace,
-    }
+    TaskSearchResult { frontier, trace }
 }
 
 /// Best-effort human-readable message from a caught panic payload.
@@ -210,8 +202,6 @@ pub fn search_task_guarded(
             );
             TaskSearchResult {
                 frontier: Frontier::new(task.request.clone()),
-                solve_time: None,
-                programs_enumerated: 0,
                 trace: SearchTrace::evaluator_panic(task),
             }
         }
@@ -295,8 +285,8 @@ mod tests {
         assert!(!result.frontier.is_empty(), "head should be found quickly");
         let best = result.frontier.best().unwrap();
         assert!(task.check(&best.expr));
-        assert!(result.solve_time.is_some());
-        assert!(result.programs_enumerated > 0);
+        assert!(result.trace.solve_time.is_some());
+        assert!(result.trace.programs_enumerated > 0);
     }
 
     #[test]
@@ -345,7 +335,7 @@ mod tests {
         );
         let result = search_task(&task, &Guide::Generative(g.clone()), &g, 5, &quick(300));
         assert!(result.frontier.is_empty());
-        assert!(result.solve_time.is_none());
+        assert!(result.trace.solve_time.is_none());
     }
 
     #[test]
@@ -390,7 +380,7 @@ mod tests {
             "healthy task must still be solved"
         );
         assert!(results[1].frontier.is_empty(), "poisoned task yields empty");
-        assert!(results[1].solve_time.is_none());
+        assert!(results[1].trace.solve_time.is_none());
     }
 
     #[test]

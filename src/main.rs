@@ -402,8 +402,8 @@ fn main() -> ExitCode {
                     println!(
                         "solved {:?} in {:.2}s after {} programs:\n  {}",
                         task.name,
-                        result.solve_time.unwrap_or_default(),
-                        result.programs_enumerated,
+                        result.trace.solve_time.unwrap_or_default(),
+                        result.trace.programs_enumerated,
                         best.expr
                     );
                     ExitCode::SUCCESS
@@ -411,7 +411,7 @@ fn main() -> ExitCode {
                 None => {
                     println!(
                         "not solved within budget ({} programs tried)",
-                        result.programs_enumerated
+                        result.trace.programs_enumerated
                     );
                     ExitCode::FAILURE
                 }

@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
+use dreamcoder::grammar::grammar::candidate_heads;
 use dreamcoder::grammar::library::BigramParent;
 use dreamcoder::grammar::{
-    candidates, fit_grammar, generation_trace, ContextualGrammar, Frontier, FrontierEntry, Grammar,
-    Library,
+    fit_grammar, generation_trace, ContextualGrammar, Frontier, FrontierEntry, Grammar, Library,
 };
 use dreamcoder::lambda::primitives::base_primitives;
 use dreamcoder::lambda::types::{tint, tlist, Context, Type};
@@ -79,7 +79,9 @@ fn candidate_probabilities_normalize_in_every_context() {
     ] {
         for arg in 0..2 {
             for request in [tint(), tlist(tint())] {
-                let cands = candidates(&cg, parent, arg, &ctx, &env, &request);
+                let mut scratch = ctx.clone();
+                let cands = candidate_heads(&cg, parent, arg, &mut scratch, &env, &request);
+                assert_eq!(scratch, ctx, "trial unifications must be rolled back");
                 assert!(!cands.is_empty());
                 let z: f64 = cands.iter().map(|c| c.log_prob.exp()).sum();
                 assert!(
@@ -135,15 +137,17 @@ fn deeper_requests_have_strictly_smaller_candidate_sets_when_constrained() {
     // Sanity: at a `bool` request the int-only arithmetic heads drop out.
     let (g, _) = setup();
     let ctx = Context::new();
-    let ints = candidates(&g, BigramParent::Start, 0, &ctx, &[], &tint());
-    let bools = candidates(
+    let mut scratch = ctx.clone();
+    let ints = candidate_heads(&g, BigramParent::Start, 0, &mut scratch, &[], &tint());
+    let bools = candidate_heads(
         &g,
         BigramParent::Start,
         0,
-        &ctx,
+        &mut scratch,
         &[],
         &dreamcoder::lambda::types::tbool(),
     );
+    assert_eq!(scratch, ctx, "trial unifications must be rolled back");
     let int_names: Vec<String> = ints.iter().map(|c| c.expr.to_string()).collect();
     let bool_names: Vec<String> = bools.iter().map(|c| c.expr.to_string()).collect();
     assert!(int_names.contains(&"+".to_owned()));

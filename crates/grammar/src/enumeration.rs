@@ -101,7 +101,7 @@ pub fn enumerate_programs_stats(
             &[],
             BigramParent::Start,
             0,
-            request.clone(),
+            request,
             lower,
             upper.min(config.max_budget),
             config.max_depth,
@@ -195,7 +195,7 @@ fn enum_request(
     env: &[Type],
     parent: BigramParent,
     arg: usize,
-    request: Type,
+    request: &Type,
     lower: f64,
     upper: f64,
     depth: usize,
@@ -208,8 +208,7 @@ fn enum_request(
     if ticker.expired() {
         return false;
     }
-    let request = request.apply(ctx);
-    if let Some((a, b)) = request.as_arrow() {
+    if let Some((a, b)) = ctx.resolve(request).as_arrow() {
         let (a, b) = (a.clone(), b.clone());
         let mut env2 = Vec::with_capacity(env.len() + 1);
         env2.push(a);
@@ -220,7 +219,7 @@ fn enum_request(
             &env2,
             parent,
             arg,
-            b,
+            &b,
             lower,
             upper,
             depth,
@@ -228,7 +227,7 @@ fn enum_request(
             &mut |c, body, ll| ret(c, Expr::abstraction(body), ll),
         );
     }
-    for head in candidate_heads(prior, parent, arg, ctx, env, &request) {
+    for head in candidate_heads(prior, parent, arg, ctx, env, request) {
         let mdl = -head.log_prob;
         if mdl >= upper {
             continue;
@@ -237,7 +236,7 @@ fn enum_request(
         // arguments, then roll back — where the old loop cloned the whole
         // `Context` per candidate.
         let cp = ctx.checkpoint();
-        let Ok(arg_types) = commit_head(prior, ctx, env, &request, &head) else {
+        let Some(arg_types) = commit_head(prior, ctx, env, request, &head) else {
             note_typed_out(1);
             ctx.rollback(cp);
             continue;
@@ -246,8 +245,8 @@ fn enum_request(
             prior,
             ctx,
             env,
-            head.child_parent,
-            head.expr,
+            head.child_parent(),
+            head.expr(prior.library()),
             head.log_prob,
             &arg_types,
             0,
@@ -293,7 +292,7 @@ fn enum_applications(
         env,
         parent,
         arg_index,
-        first.clone(),
+        first,
         0.0,
         upper,
         depth - 1,

@@ -134,29 +134,76 @@ impl ProgramPrior for ContextualGrammar {
     }
 }
 
-/// A feasible head, discovered by trial unification that was immediately
-/// rolled back: it carries no cloned [`Context`] and no instantiated
-/// argument types. Expansion re-commits the head against the live context
-/// with [`commit_head`] — the one head protocol the enumerator, the
+/// The head of a candidate application: a bound variable or a library
+/// production.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Head {
+    /// The de Bruijn index of a bound variable.
+    Var(usize),
+    /// A production index into the library.
+    Prod(usize),
+}
+
+/// A feasible head, discovered by a trial that left the [`Context`] as it
+/// was: it carries no cloned context, no instantiated argument types and
+/// no expression. Expansion commits the head against the live context
+/// with [`commit_head`] and builds its expression with
+/// [`CandidateHead::expr`] — the one head protocol the enumerator, the
 /// sampler and [`generation_trace`] share.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateHead {
     /// Normalized log-probability of this choice.
     pub log_prob: f64,
-    /// The chosen head (`Expr::Index`, `Expr::Primitive`, `Expr::Invented`).
-    pub expr: Expr,
-    /// Bigram parent context for generating the arguments.
-    pub child_parent: BigramParent,
+    /// The chosen head.
+    pub head: Head,
+}
+
+impl CandidateHead {
     /// Production index (`None` = a bound variable).
-    pub production: Option<usize>,
+    pub fn production(&self) -> Option<usize> {
+        match self.head {
+            Head::Var(_) => None,
+            Head::Prod(j) => Some(j),
+        }
+    }
+
+    /// Bigram parent context for generating the arguments.
+    pub fn child_parent(&self) -> BigramParent {
+        match self.head {
+            Head::Var(_) => BigramParent::Var,
+            Head::Prod(j) => BigramParent::Prod(j),
+        }
+    }
+
+    /// The head as an expression (`Expr::Index`, `Expr::Primitive` or
+    /// `Expr::Invented`).
+    pub fn expr(&self, library: &Library) -> Expr {
+        match self.head {
+            Head::Var(i) => Expr::Index(i),
+            Head::Prod(j) => library.items[j].expr.clone(),
+        }
+    }
+
+    /// Is `expr` this head? Compares without building the expression.
+    fn is(&self, expr: &Expr, library: &Library) -> bool {
+        match self.head {
+            Head::Var(i) => matches!(expr, Expr::Index(k) if *k == i),
+            Head::Prod(j) => library.items[j].expr == *expr,
+        }
+    }
 }
 
 /// Enumerate the feasible heads for a hole of type `request` (a non-arrow
-/// type) in environment `env`, with normalized log-probabilities.
+/// type, resolved or not) in environment `env`, with normalized
+/// log-probabilities. Asks `prior` for its weights exactly once.
 ///
 /// `ctx` is only mutated transiently: every trial unification is undone
 /// via checkpoint/rollback before returning, so on exit `ctx` is exactly
-/// as it came in (including the fresh-variable counter).
+/// as it came in (including the fresh-variable counter). Every variable
+/// `request` mentions must lie below its fresh-variable counter, as
+/// [`Context::starting_after`] makes it. A production whose return type
+/// cannot fit is rejected without instantiating it, and a rejection
+/// allocates nothing.
 pub fn candidate_heads(
     prior: &dyn ProgramPrior,
     parent: BigramParent,
@@ -172,16 +219,10 @@ pub fn candidate_heads(
     let mut unify_failures = 0u64;
     // Bound variables.
     for (i, env_ty) in env.iter().enumerate() {
-        let cp = ctx.checkpoint();
-        let t = env_ty.apply(ctx);
-        let feasible = ctx.unify(t.returns(), request).is_ok();
-        ctx.rollback(cp);
-        if feasible {
+        if ctx.returns_unify(env_ty, request) {
             out.push(CandidateHead {
                 log_prob: weights.log_variable,
-                expr: Expr::Index(i),
-                child_parent: BigramParent::Var,
-                production: None,
+                head: Head::Var(i),
             });
         } else {
             unify_failures += 1;
@@ -189,16 +230,10 @@ pub fn candidate_heads(
     }
     // Library productions.
     for (j, item) in prior.library().items.iter().enumerate() {
-        let cp = ctx.checkpoint();
-        let t = item.ty.instantiate(ctx);
-        let feasible = ctx.unify(t.returns(), request).is_ok();
-        ctx.rollback(cp);
-        if feasible {
+        if item.scheme().return_fits(ctx, request) {
             out.push(CandidateHead {
                 log_prob: weights.log_productions[j],
-                expr: item.expr.clone(),
-                child_parent: BigramParent::Prod(j),
-                production: Some(j),
+                head: Head::Prod(j),
             });
         } else {
             unify_failures += 1;
@@ -231,30 +266,28 @@ pub fn candidate_heads(
 }
 
 /// Commit to a head previously discovered by [`candidate_heads`] under the
-/// *same* context state: re-instantiate its type, unify with `request`,
-/// and return the instantiated argument types. The unification bindings
-/// stay in `ctx` (callers checkpoint before and roll back after exploring
-/// the head's arguments).
+/// *same* context state: instantiate its type, unify its return type with
+/// `request`, and return the instantiated argument types. The unification
+/// bindings stay in `ctx` (callers checkpoint before and roll back after
+/// exploring the head's arguments).
 ///
-/// # Errors
-/// Returns the unification error when the head is not feasible — only
-/// possible when `ctx` diverged from the state `candidate_heads` saw.
+/// Returns `None` when the head is not feasible — only possible when
+/// `ctx` diverged from the state `candidate_heads` saw.
 pub fn commit_head(
     prior: &dyn ProgramPrior,
     ctx: &mut Context,
     env: &[Type],
     request: &Type,
     head: &CandidateHead,
-) -> Result<Vec<Type>, dc_lambda::types::UnificationError> {
-    let t = match head.production {
-        Some(j) => prior.library().items[j].ty.instantiate(ctx),
-        None => match &head.expr {
-            Expr::Index(i) => env[*i].apply(ctx),
-            other => unreachable!("variable head must be an index, got {other}"),
-        },
+) -> Option<Vec<Type>> {
+    let t = match head.head {
+        Head::Prod(j) => prior.library().items[j].scheme().instantiate(ctx),
+        Head::Var(i) => env[i].apply(ctx),
     };
-    ctx.unify(t.returns(), request)?;
-    Ok(t.arguments().into_iter().cloned().collect())
+    if !ctx.unify_ok(t.returns(), request) {
+        return None;
+    }
+    Some(t.arguments().into_iter().cloned().collect())
 }
 
 /// A choice made during generation, with enough context to train a
@@ -290,7 +323,7 @@ pub fn generation_trace(
         &mut env,
         BigramParent::Start,
         0,
-        request.clone(),
+        request,
         expr,
         &mut events,
     )?;
@@ -304,18 +337,17 @@ fn walk(
     env: &mut Vec<Type>,
     parent: BigramParent,
     arg: usize,
-    request: Type,
+    request: &Type,
     expr: &Expr,
     events: &mut Vec<GenEvent>,
 ) -> Option<f64> {
-    let request = request.apply(ctx);
-    if let Some((a, b)) = request.as_arrow() {
+    if let Some((a, b)) = ctx.resolve(request).as_arrow() {
         // Arrow requests deterministically produce abstractions.
         let (a, b) = (a.clone(), b.clone());
         return match expr {
             Expr::Abstraction(body) => {
                 env.insert(0, a);
-                let r = walk(prior, ctx, env, parent, arg, b, body, events);
+                let r = walk(prior, ctx, env, parent, arg, &b, body, events);
                 env.remove(0);
                 r
             }
@@ -330,20 +362,20 @@ fn walk(
         head = f;
     }
     spine.reverse();
-    let heads = candidate_heads(prior, parent, arg, ctx, env, &request);
-    let feasible_prods: Vec<usize> = heads.iter().filter_map(|c| c.production).collect();
-    let feasible_vars = heads.iter().filter(|c| c.production.is_none()).count();
-    let chosen = heads.into_iter().find(|c| &c.expr == head)?;
+    let heads = candidate_heads(prior, parent, arg, ctx, env, request);
+    let feasible_prods: Vec<usize> = heads.iter().filter_map(CandidateHead::production).collect();
+    let feasible_vars = heads.iter().filter(|c| c.production().is_none()).count();
+    let chosen = *heads.iter().find(|c| c.is(head, prior.library()))?;
     // Committing binds the head's unification into `ctx`; on the `None`
     // paths below the whole trace is abandoned, so no rollback is needed.
-    let arg_types = commit_head(prior, ctx, env, &request, &chosen).ok()?;
+    let arg_types = commit_head(prior, ctx, env, request, &chosen)?;
     if arg_types.len() != spine.len() {
         return None; // not eta-long
     }
     events.push(GenEvent {
         parent,
         arg,
-        chosen: chosen.production,
+        chosen: chosen.production(),
         feasible_prods,
         feasible_vars,
     });
@@ -353,9 +385,9 @@ fn walk(
             prior,
             ctx,
             env,
-            chosen.child_parent,
+            chosen.child_parent(),
             k,
-            arg_ty.clone(),
+            arg_ty,
             arg_expr,
             events,
         )?;
@@ -389,10 +421,14 @@ mod tests {
         let cands = candidate_heads(&g, BigramParent::Start, 0, &mut scratch, &[], &tint());
         assert_eq!(scratch, ctx, "trial unifications must be rolled back");
         // int-returning heads: length, index, +, -, *, mod, 0, 1, if, fix, car, fold...
-        assert!(cands.iter().any(|c| c.expr.to_string() == "+"));
-        assert!(cands.iter().any(|c| c.expr.to_string() == "0"));
+        let names: Vec<String> = cands
+            .iter()
+            .map(|c| c.expr(&g.library).to_string())
+            .collect();
+        assert!(names.iter().any(|n| n == "+"));
+        assert!(names.iter().any(|n| n == "0"));
         // `cons` returns a list, never an int.
-        assert!(!cands.iter().any(|c| c.expr.to_string() == "cons"));
+        assert!(!names.iter().any(|n| n == "cons"));
         // Normalization: probabilities sum to 1.
         let z = logsumexp(&cands.iter().map(|c| c.log_prob).collect::<Vec<_>>());
         assert!(z.abs() < 1e-9);
@@ -405,7 +441,7 @@ mod tests {
         let mut scratch = ctx.clone();
         let cands = candidate_heads(&g, BigramParent::Start, 0, &mut scratch, &[tint()], &tint());
         assert_eq!(scratch, ctx, "trial unifications must be rolled back");
-        assert!(cands.iter().any(|c| matches!(c.expr, Expr::Index(0))));
+        assert!(cands.iter().any(|c| c.head == Head::Var(0)));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dc_lambda::expr::{Expr, Invented, Primitive};
-use dc_lambda::types::Type;
+use dc_lambda::types::{Scheme, Type};
 
 /// One member of the library: a primitive or an invented routine, with its
 /// (polymorphic) type cached.
@@ -13,27 +13,41 @@ use dc_lambda::types::Type;
 pub struct LibraryItem {
     /// The expression (always `Expr::Primitive` or `Expr::Invented`).
     pub expr: Expr,
-    /// Its canonical polymorphic type.
-    pub ty: Type,
+    /// Its polymorphic type.
+    ty: Type,
+    /// `ty` prepared for instantiation at every hole.
+    scheme: Scheme,
 }
 
 impl LibraryItem {
+    fn new(expr: Expr, ty: Type) -> LibraryItem {
+        LibraryItem {
+            scheme: Scheme::new(&ty),
+            expr,
+            ty,
+        }
+    }
+
     /// Wrap a primitive.
     pub fn from_primitive(p: Arc<Primitive>) -> LibraryItem {
         let ty = p.ty.clone();
-        LibraryItem {
-            expr: Expr::Primitive(p),
-            ty,
-        }
+        LibraryItem::new(Expr::Primitive(p), ty)
     }
 
     /// Wrap an invented routine.
     pub fn from_invented(inv: Arc<Invented>) -> LibraryItem {
         let ty = inv.ty.clone();
-        LibraryItem {
-            expr: Expr::Invented(inv),
-            ty,
-        }
+        LibraryItem::new(Expr::Invented(inv), ty)
+    }
+
+    /// The item's polymorphic type.
+    pub fn ty(&self) -> &Type {
+        &self.ty
+    }
+
+    /// The item's type, prepared for instantiation.
+    pub fn scheme(&self) -> &Scheme {
+        &self.scheme
     }
 
     /// Display name of the item.

@@ -23,7 +23,7 @@ pub fn sample_program<R: Rng + ?Sized>(
         &mut Vec::new(),
         BigramParent::Start,
         0,
-        request.clone(),
+        request,
         rng,
         max_depth,
     )
@@ -36,22 +36,21 @@ fn sample_inner<R: Rng + ?Sized>(
     env: &mut Vec<Type>,
     parent: BigramParent,
     arg: usize,
-    request: Type,
+    request: &Type,
     rng: &mut R,
     depth: usize,
 ) -> Option<Expr> {
     if depth == 0 {
         return None;
     }
-    let request = request.apply(ctx);
-    if let Some((a, b)) = request.as_arrow() {
+    if let Some((a, b)) = ctx.resolve(request).as_arrow() {
         let (a, b) = (a.clone(), b.clone());
         env.insert(0, a);
-        let body = sample_inner(prior, ctx, env, parent, arg, b, rng, depth);
+        let body = sample_inner(prior, ctx, env, parent, arg, &b, rng, depth);
         env.remove(0);
         return body.map(Expr::abstraction);
     }
-    let heads = candidate_heads(prior, parent, arg, ctx, env, &request);
+    let heads = candidate_heads(prior, parent, arg, ctx, env, request);
     if heads.is_empty() {
         return None;
     }
@@ -73,11 +72,11 @@ fn sample_inner<R: Rng + ?Sized>(
         }
     }
     let head = &heads[chosen];
-    let arg_types = commit_head(prior, ctx, env, &request, head)
+    let arg_types = commit_head(prior, ctx, env, request, head)
         .expect("head feasibility established under the same context");
-    let mut expr = head.expr.clone();
-    for (k, at) in arg_types.into_iter().enumerate() {
-        let a = sample_inner(prior, ctx, env, head.child_parent, k, at, rng, depth - 1)?;
+    let mut expr = head.expr(prior.library());
+    for (k, at) in arg_types.iter().enumerate() {
+        let a = sample_inner(prior, ctx, env, head.child_parent(), k, at, rng, depth - 1)?;
         expr = Expr::application(expr, a);
     }
     Some(expr)

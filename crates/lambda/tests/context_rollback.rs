@@ -96,3 +96,21 @@ proptest! {
         prop_assert_eq!((a.apply(&ctx), b.apply(&ctx)), first_applied);
     }
 }
+
+/// Equality compares bindings and the counter, not storage: a rollback
+/// that empties slots far above any variable seen before leaves a context
+/// equal to the one it started from.
+#[test]
+fn rollback_of_a_distant_binding_restores_equality() {
+    let mut ctx = Context::new();
+    let a = ctx.fresh_variable();
+    ctx.unify(&a, &tint()).unwrap();
+    let before = ctx.clone();
+    let cp = ctx.checkpoint();
+    ctx.unify(&tvar(10_000), &tlist(a)).unwrap();
+    assert_ne!(ctx, before);
+    ctx.rollback(cp);
+    assert_eq!(ctx, before);
+    ctx.fresh_variable();
+    assert_ne!(ctx, before, "the counter is observable");
+}

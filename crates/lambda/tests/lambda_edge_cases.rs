@@ -197,3 +197,25 @@ fn display_of_invented_routines_is_stable() {
     let e2 = Expr::parse(&e.to_string(), &prims).unwrap();
     assert_eq!(e, e2);
 }
+
+#[test]
+fn unification_errors_render_the_clashing_pair() {
+    let mut ctx = Context::new();
+    let err = ctx.unify(&tlist(tint()), &tlist(tbool())).unwrap_err();
+    assert_eq!(err.to_string(), "cannot unify int with bool");
+    // The clash is rendered under the bindings made before it.
+    let mut ctx = Context::new();
+    let err = ctx
+        .unify(
+            &Type::arrow(tvar(0), tvar(0)),
+            &Type::arrow(tlist(tvar(1)), tint()),
+        )
+        .unwrap_err();
+    assert_eq!(err.to_string(), "cannot unify list(t1) with int");
+    let err = ctx.unify(&tvar(2), &tlist(tvar(2))).unwrap_err();
+    assert_eq!(err.to_string(), "cannot unify t2 with list(t2)");
+    let err = ctx.unify(&tlist(tvar(3)), &tvar(3)).unwrap_err();
+    assert_eq!(err.to_string(), "cannot unify list(t3) with t3");
+    let err = parse("(lambda $1)").infer().unwrap_err();
+    assert_eq!(err.to_string(), "cannot unify $1 with unbound index");
+}

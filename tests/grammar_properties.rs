@@ -148,8 +148,14 @@ fn deeper_requests_have_strictly_smaller_candidate_sets_when_constrained() {
         &dreamcoder::lambda::types::tbool(),
     );
     assert_eq!(scratch, ctx, "trial unifications must be rolled back");
-    let int_names: Vec<String> = ints.iter().map(|c| c.expr.to_string()).collect();
-    let bool_names: Vec<String> = bools.iter().map(|c| c.expr.to_string()).collect();
+    let int_names: Vec<String> = ints
+        .iter()
+        .map(|c| c.expr(&g.library).to_string())
+        .collect();
+    let bool_names: Vec<String> = bools
+        .iter()
+        .map(|c| c.expr(&g.library).to_string())
+        .collect();
     assert!(int_names.contains(&"+".to_owned()));
     assert!(!bool_names.contains(&"+".to_owned()));
     assert!(bool_names.contains(&"is-prime".to_owned()));

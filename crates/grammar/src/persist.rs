@@ -287,6 +287,27 @@ mod tests {
     }
 
     #[test]
+    fn load_frontier_rejects_programs_nested_past_max_depth() {
+        // Runs on the default test-thread stack: a hostile checkpoint must
+        // come back as an error, not overflow the parser.
+        let prims = base_primitives();
+        let deep = format!("{}1{}", "(lambda ".repeat(100_000), ")".repeat(100_000));
+        let saved = SavedFrontier {
+            entries: vec![SavedFrontierEntry {
+                expr: deep,
+                log_likelihood: 0.0,
+                log_prior: 0.0,
+            }],
+        };
+        let json = serde_json::to_string(&saved).unwrap();
+        let back: SavedFrontier = serde_json::from_str(&json).unwrap();
+        assert!(matches!(
+            load_frontier(&back, tint(), &prims),
+            Err(LoadError::BadProgram(_, _))
+        ));
+    }
+
+    #[test]
     fn load_errors_are_informative() {
         let prims = base_primitives();
         let saved = SavedGrammar {

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use crate::error::EvalError;
 use crate::expr::{Expr, Primitive, Semantics};
+use crate::MAX_DEPTH;
 
 /// A runtime value.
 #[derive(Clone)]
@@ -274,10 +275,9 @@ impl fmt::Debug for Env {
 #[derive(Debug)]
 pub struct EvalCtx {
     fuel: u64,
+    /// Native recursion depth, bounded by [`MAX_DEPTH`] so that deep `fix`
+    /// unrollings stop before they overflow the stack.
     depth: usize,
-    /// Maximum native recursion depth (guards the Rust stack against deep
-    /// `fix` unrollings before fuel runs out).
-    pub max_depth: usize,
     /// Maximum length of any list built during evaluation.
     pub max_list_len: usize,
     /// Maximum length of any string built during evaluation.
@@ -290,7 +290,6 @@ impl EvalCtx {
         EvalCtx {
             fuel,
             depth: 0,
-            max_depth: 700,
             max_list_len: 10_000,
             max_str_len: 10_000,
         }
@@ -298,7 +297,7 @@ impl EvalCtx {
 
     fn enter(&mut self) -> Result<(), EvalError> {
         self.depth += 1;
-        if self.depth > self.max_depth {
+        if self.depth > MAX_DEPTH {
             Err(EvalError::FuelExhausted)
         } else {
             Ok(())

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use crate::error::{EvalError, ParseError};
 use crate::eval::{EvalCtx, Value};
 use crate::types::{Context, Type};
+use crate::MAX_DEPTH;
 
 /// The implementation of a strict primitive: evaluated arguments in, value
 /// out, with evaluator access for higher-order primitives.
@@ -380,11 +381,12 @@ impl Expr {
     /// inline inventions.
     ///
     /// # Errors
-    /// Returns [`ParseError`] on malformed syntax or unknown primitive names.
+    /// Returns [`ParseError`] on malformed syntax, unknown primitive names,
+    /// or a program nested deeper than [`MAX_DEPTH`].
     pub fn parse(src: &str, lookup: &dyn PrimitiveLookup) -> Result<Expr, ParseError> {
         let tokens = tokenize(src)?;
         let mut pos = 0;
-        let expr = parse_expr(&tokens, &mut pos, lookup)?;
+        let (expr, _) = parse_expr(&tokens, &mut pos, lookup, 0)?;
         if pos != tokens.len() {
             return Err(ParseError::new(format!(
                 "trailing tokens after expression: {:?}",
@@ -495,51 +497,73 @@ fn tokenize(src: &str) -> Result<Vec<String>, ParseError> {
     Ok(tokens)
 }
 
+/// Parse one expression sitting `nesting` brackets deep and return it with
+/// its height. Both are bounded by [`MAX_DEPTH`]: nesting bounds this
+/// recursion, and height bounds every later recursion over the tree,
+/// including a long application spine that the loop below builds flat.
 fn parse_expr(
     tokens: &[String],
     pos: &mut usize,
     lookup: &dyn PrimitiveLookup,
-) -> Result<Expr, ParseError> {
+    nesting: usize,
+) -> Result<(Expr, usize), ParseError> {
+    if nesting > MAX_DEPTH {
+        return Err(too_deep());
+    }
     let tok = tokens
         .get(*pos)
         .ok_or_else(|| ParseError::new("unexpected end of input"))?
         .clone();
     *pos += 1;
-    match tok.as_str() {
+    let (expr, height) = match tok.as_str() {
         "(" => {
             let head = tokens
                 .get(*pos)
                 .ok_or_else(|| ParseError::new("unexpected end of input after ("))?;
             if head == "lambda" || head == "λ" {
                 *pos += 1;
-                let body = parse_expr(tokens, pos, lookup)?;
+                let (body, height) = parse_expr(tokens, pos, lookup, nesting + 1)?;
                 expect(tokens, pos, ")")?;
-                return Ok(Expr::abstraction(body));
-            }
-            let mut expr = parse_expr(tokens, pos, lookup)?;
-            loop {
-                let next = tokens
-                    .get(*pos)
-                    .ok_or_else(|| ParseError::new("unclosed ("))?;
-                if next == ")" {
-                    *pos += 1;
-                    return Ok(expr);
+                (Expr::abstraction(body), height + 1)
+            } else {
+                let (mut expr, mut height) = parse_expr(tokens, pos, lookup, nesting + 1)?;
+                loop {
+                    let next = tokens
+                        .get(*pos)
+                        .ok_or_else(|| ParseError::new("unclosed ("))?;
+                    if next == ")" {
+                        *pos += 1;
+                        break;
+                    }
+                    let (arg, arg_height) = parse_expr(tokens, pos, lookup, nesting + 1)?;
+                    expr = Expr::application(expr, arg);
+                    height = height.max(arg_height) + 1;
+                    if height > MAX_DEPTH {
+                        return Err(too_deep());
+                    }
                 }
-                let arg = parse_expr(tokens, pos, lookup)?;
-                expr = Expr::application(expr, arg);
+                (expr, height)
             }
         }
-        ")" => Err(ParseError::new("unexpected )")),
+        ")" => return Err(ParseError::new("unexpected )")),
         "#" => {
             // `#(...)` invention literal: the body is the next expression.
-            let body = parse_expr(tokens, pos, lookup)?;
+            let (body, height) = parse_expr(tokens, pos, lookup, nesting + 1)?;
             let name = format!("#{body}");
             let inv = Invented::new(&name, body)
                 .map_err(|e| ParseError::new(format!("ill-typed invention: {e}")))?;
-            Ok(Expr::Invented(inv))
+            (Expr::Invented(inv), height + 1)
         }
-        _ => parse_atom(&tok, lookup),
+        _ => (parse_atom(&tok, lookup)?, 0),
+    };
+    if height > MAX_DEPTH {
+        return Err(too_deep());
     }
+    Ok((expr, height))
+}
+
+fn too_deep() -> ParseError {
+    ParseError::new(format!("program nested deeper than {MAX_DEPTH}"))
 }
 
 fn expect(tokens: &[String], pos: &mut usize, want: &str) -> Result<(), ParseError> {

@@ -41,6 +41,18 @@ pub mod pretty;
 pub mod primitives;
 pub mod types;
 
+/// The one recursion bound for programs: [`Expr::parse`] rejects a program
+/// nested deeper than this, and the evaluator stops a run whose native
+/// recursion reaches it with [`EvalError::FuelExhausted`].
+///
+/// Every thread in the workspace runs on the platform's default stack, so
+/// this constant is what keeps deep input and runaway `fix` recursion from
+/// overflowing one. Successful evaluations on every benchmark workload stay
+/// under depth 10, and the deepest evaluator shape needs well under 1 MiB
+/// of stack at this bound in an unoptimized build (DESIGN.md § Stack
+/// contract).
+pub const MAX_DEPTH: usize = 256;
+
 pub use error::{EvalError, ParseError};
 pub use eval::{run_program, Env, EvalCtx, Value};
 pub use expr::{Expr, Invented, Primitive, PrimitiveLookup, Semantics};

@@ -6,7 +6,7 @@ use dc_lambda::eval::{run_program, EvalCtx, Value};
 use dc_lambda::expr::Expr;
 use dc_lambda::primitives::{base_primitives, rich_list_primitives};
 use dc_lambda::types::{tbool, tint, tlist, tvar, Context, Type};
-use dc_lambda::Env;
+use dc_lambda::{Env, EvalError, MAX_DEPTH};
 
 fn parse(s: &str) -> Expr {
     Expr::parse(s, &base_primitives()).unwrap()
@@ -102,6 +102,41 @@ fn evaluator_depth_guard_reports_fuel_exhaustion() {
         run_program(&e, &[Value::Int(7)], 100_000).unwrap(),
         Value::Int(7)
     );
+    // …but nesting past MAX_DEPTH trips the guard, however much fuel is left.
+    let mut deep = Expr::Index(0);
+    for _ in 0..MAX_DEPTH {
+        deep = Expr::application(Expr::abstraction(Expr::Index(0)), deep);
+    }
+    let deep = Expr::abstraction(deep);
+    assert_eq!(
+        run_program(&deep, &[Value::Int(7)], u64::MAX),
+        Err(EvalError::FuelExhausted)
+    );
+}
+
+#[test]
+fn parser_rejects_programs_nested_past_max_depth() {
+    // Runs on the default test-thread stack: each shape is 100,000 deep,
+    // far past what the recursive parser could survive unguarded.
+    let prims = base_primitives();
+    let n = 100_000;
+    let shapes = [
+        format!("{}1{}", "(lambda ".repeat(n), ")".repeat(n)),
+        format!("{}1{}", "(+ 1 ".repeat(n), ")".repeat(n)),
+        format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+        format!("{}1{}", "#(lambda ".repeat(n), ")".repeat(n)),
+        // A flat application spine nests its tree just as deeply.
+        format!("(+{})", " 1".repeat(n)),
+    ];
+    for src in &shapes {
+        let err = Expr::parse(src, &prims).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+    }
+    // The bound itself is accepted.
+    let at_bound = format!("{}1{}", "(lambda ".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+    assert!(Expr::parse(&at_bound, &prims).is_ok());
+    let past_bound = format!("(lambda {at_bound})");
+    assert!(Expr::parse(&past_bound, &prims).is_err());
 }
 
 #[test]

@@ -161,10 +161,6 @@ pub struct DreamCoderConfig {
     /// timeout) the `RunSummary` is byte-reproducible — the determinism
     /// contract of DESIGN.md §8.
     pub deterministic_timing: bool,
-    /// Record per-task [`crate::SearchTrace`] forensics into each cycle's
-    /// stats (and thus the summary and checkpoints). On by default; turn
-    /// off to keep summaries small on very large task sets.
-    pub collect_search_traces: bool,
 }
 
 impl Default for DreamCoderConfig {
@@ -189,7 +185,6 @@ impl Default for DreamCoderConfig {
             checkpoint_dir: None,
             checkpoint_keep: 3,
             deterministic_timing: false,
-            collect_search_traces: true,
         }
     }
 }

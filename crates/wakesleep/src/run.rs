@@ -43,8 +43,8 @@ pub struct CycleStats {
     pub median_solve_time: f64,
     /// Inventions added this cycle.
     pub new_inventions: Vec<String>,
-    /// Per-task search forensics for this cycle's wake minibatch
-    /// (empty when `collect_search_traces` is off). Adding this field
+    /// Per-task search forensics for this cycle's wake minibatch.
+    /// Adding this field
     /// changed the checkpoint shape — see `CHECKPOINT_VERSION` v2.
     pub search_traces: Vec<SearchTrace>,
 }
@@ -403,22 +403,18 @@ impl<'d> DreamCoder<'d> {
                 dc_telemetry::set_status("phase", "wake");
                 let _wake = dc_telemetry::span("cycle.wake");
                 let results = self.wake_cycle();
-                search_traces = if self.config.collect_search_traces {
-                    results
-                        .iter()
-                        .map(|(_, r)| {
-                            let mut trace = r.trace.clone();
-                            if self.config.deterministic_timing {
-                                // Same scrub as the solve-time metrics:
-                                // wall clock must not reach the summary.
-                                trace.solve_time = None;
-                            }
-                            trace
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                search_traces = results
+                    .iter()
+                    .map(|(_, r)| {
+                        let mut trace = r.trace.clone();
+                        if self.config.deterministic_timing {
+                            // Same scrub as the solve-time metrics:
+                            // wall clock must not reach the summary.
+                            trace.solve_time = None;
+                        }
+                        trace
+                    })
+                    .collect();
             }
             let mut new_inventions = Vec::new();
             {
@@ -605,25 +601,15 @@ mod tests {
 
     #[test]
     fn full_run_makes_progress_on_lists() {
-        // Version-space refactoring recurses deeply enough to overflow
-        // the default test-thread stack in unoptimized builds, so run
-        // the whole cycle on a thread with room to spare.
-        std::thread::Builder::new()
-            .stack_size(64 * 1024 * 1024)
-            .spawn(|| {
-                let domain = ListDomain::new(0);
-                let mut dc = DreamCoder::new(&domain, quick_config(Condition::Full));
-                let summary = dc.run();
-                assert_eq!(summary.cycles.len(), 2);
-                assert!(
-                    summary.cycles.last().unwrap().train_solved > 0,
-                    "should solve some easy training tasks"
-                );
-                assert!(summary.cycles.last().unwrap().test_solved > 0.0);
-            })
-            .expect("spawn test thread")
-            .join()
-            .expect("full run panicked");
+        let domain = ListDomain::new(0);
+        let mut dc = DreamCoder::new(&domain, quick_config(Condition::Full));
+        let summary = dc.run();
+        assert_eq!(summary.cycles.len(), 2);
+        assert!(
+            summary.cycles.last().unwrap().train_solved > 0,
+            "should solve some easy training tasks"
+        );
+        assert!(summary.cycles.last().unwrap().test_solved > 0.0);
     }
 
     #[test]
@@ -700,44 +686,28 @@ mod tests {
             let mut dc = DreamCoder::new(&domain, deterministic_config(Condition::Full, 2, 7));
             serde_json::to_string(&dc.run()).expect("summary serializes")
         };
-        let spawn = || {
-            std::thread::Builder::new()
-                .stack_size(64 * 1024 * 1024)
-                .spawn(run_once)
-                .expect("spawn test thread")
-        };
-        let first = spawn().join().expect("first run panicked");
-        let second = spawn().join().expect("second run panicked");
-        assert_eq!(first, second, "seeded runs diverged");
+        assert_eq!(run_once(), run_once(), "seeded runs diverged");
     }
 
     #[test]
     fn no_compression_refit_rescores_stored_frontiers() {
         // Regression test: the θ-refit branch used to refit the grammar but
-        // leave the stored beams scored under the stale θ. Runs on a big
-        // stack for the same reason as `full_run_makes_progress_on_lists`.
-        std::thread::Builder::new()
-            .stack_size(64 * 1024 * 1024)
-            .spawn(|| {
-                let domain = ListDomain::new(0);
-                let mut dc = DreamCoder::new(&domain, quick_config(Condition::NoCompression));
-                dc.run();
-                assert!(!dc.frontiers.is_empty(), "should solve some tasks");
-                for frontier in dc.frontiers.values() {
-                    for entry in &frontier.entries {
-                        let expected = dc.grammar.log_prior(&frontier.request, &entry.expr);
-                        assert!(
-                            (entry.log_prior - expected).abs() < 1e-9,
-                            "stored prior {} disagrees with refit grammar {}",
-                            entry.log_prior,
-                            expected
-                        );
-                    }
-                }
-            })
-            .expect("spawn test thread")
-            .join()
-            .expect("refit run panicked");
+        // leave the stored beams scored under the stale θ.
+        let domain = ListDomain::new(0);
+        let mut dc = DreamCoder::new(&domain, quick_config(Condition::NoCompression));
+        dc.run();
+        assert!(!dc.frontiers.is_empty(), "should solve some tasks");
+        for frontier in dc.frontiers.values() {
+            for entry in &frontier.entries {
+                let expected = dc.grammar.log_prior(&frontier.request, &entry.expr);
+                assert!(
+                    (entry.log_prior - expected).abs() < 1e-9,
+                    "stored prior {} disagrees with refit grammar {}",
+                    entry.log_prior,
+                    expected
+                );
+            }
+        }
     }
 
     #[test]

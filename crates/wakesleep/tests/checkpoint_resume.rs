@@ -53,85 +53,69 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Version-space refactoring recurses deeply enough to overflow the
-/// default test-thread stack in unoptimized builds.
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(64 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn test thread")
-        .join()
-        .expect("test thread panicked")
-}
-
 #[test]
 fn resume_after_interrupt_matches_uninterrupted_run() {
-    on_big_stack(|| {
-        let dir = tmpdir("interrupt");
-        // Reference: three cycles straight through.
-        let uninterrupted = {
-            let domain = ListDomain::new(0);
-            let mut dc = DreamCoder::new(&domain, deterministic_config(Condition::Full, 3, 11));
-            serde_json::to_string(&dc.run()).unwrap()
-        };
-        // Interrupted: run one cycle with checkpointing on, "crash", then
-        // resume from the newest checkpoint and finish the other two.
-        {
-            let domain = ListDomain::new(0);
-            let mut cfg = deterministic_config(Condition::Full, 1, 11);
-            cfg.checkpoint_dir = Some(dir.clone());
-            let mut dc = DreamCoder::new(&domain, cfg);
-            dc.run();
-        }
-        let resumed = {
-            let path = latest_checkpoint(&dir)
-                .unwrap()
-                .expect("checkpoint written");
-            let ckpt = Checkpoint::read(&path).unwrap();
-            assert_eq!(ckpt.cycles_completed, 1);
-            let domain = ListDomain::new(0);
-            let mut dc =
-                DreamCoder::resume(&domain, deterministic_config(Condition::Full, 3, 11), &ckpt)
-                    .expect("resume");
-            serde_json::to_string(&dc.run()).unwrap()
-        };
-        assert_eq!(
-            resumed, uninterrupted,
-            "resumed trajectory diverged from the uninterrupted one"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    });
+    let dir = tmpdir("interrupt");
+    // Reference: three cycles straight through.
+    let uninterrupted = {
+        let domain = ListDomain::new(0);
+        let mut dc = DreamCoder::new(&domain, deterministic_config(Condition::Full, 3, 11));
+        serde_json::to_string(&dc.run()).unwrap()
+    };
+    // Interrupted: run one cycle with checkpointing on, "crash", then
+    // resume from the newest checkpoint and finish the other two.
+    {
+        let domain = ListDomain::new(0);
+        let mut cfg = deterministic_config(Condition::Full, 1, 11);
+        cfg.checkpoint_dir = Some(dir.clone());
+        let mut dc = DreamCoder::new(&domain, cfg);
+        dc.run();
+    }
+    let resumed = {
+        let path = latest_checkpoint(&dir)
+            .unwrap()
+            .expect("checkpoint written");
+        let ckpt = Checkpoint::read(&path).unwrap();
+        assert_eq!(ckpt.cycles_completed, 1);
+        let domain = ListDomain::new(0);
+        let mut dc =
+            DreamCoder::resume(&domain, deterministic_config(Condition::Full, 3, 11), &ckpt)
+                .expect("resume");
+        serde_json::to_string(&dc.run()).unwrap()
+    };
+    assert_eq!(
+        resumed, uninterrupted,
+        "resumed trajectory diverged from the uninterrupted one"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn checkpoint_survives_disk_round_trip_bit_for_bit() {
-    on_big_stack(|| {
-        let dir = tmpdir("bitexact");
-        let domain = ListDomain::new(0);
-        let mut dc = DreamCoder::new(&domain, deterministic_config(Condition::Full, 1, 5));
-        dc.run();
-        let ckpt = dc.checkpoint(1);
-        assert!(!ckpt.frontiers.is_empty(), "should have solved something");
-        assert!(
-            ckpt.recognition.is_some(),
-            "Full trains a recognition model"
-        );
-        let path = ckpt.write_atomic(&dir).unwrap();
-        let back = Checkpoint::read(&path).unwrap();
-        // Resuming from the file and immediately re-checkpointing must
-        // reproduce the identical bytes: grammar θ, frontier scores,
-        // recognition weights + Adam moments, and RNG state all survive.
-        let resumed =
-            DreamCoder::resume(&domain, deterministic_config(Condition::Full, 1, 5), &back)
-                .expect("resume");
-        let again = resumed.checkpoint(1);
-        assert_eq!(
-            serde_json::to_string(&ckpt).unwrap(),
-            serde_json::to_string(&again).unwrap(),
-            "checkpoint → disk → resume → checkpoint must be a fixed point"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    });
+    let dir = tmpdir("bitexact");
+    let domain = ListDomain::new(0);
+    let mut dc = DreamCoder::new(&domain, deterministic_config(Condition::Full, 1, 5));
+    dc.run();
+    let ckpt = dc.checkpoint(1);
+    assert!(!ckpt.frontiers.is_empty(), "should have solved something");
+    assert!(
+        ckpt.recognition.is_some(),
+        "Full trains a recognition model"
+    );
+    let path = ckpt.write_atomic(&dir).unwrap();
+    let back = Checkpoint::read(&path).unwrap();
+    // Resuming from the file and immediately re-checkpointing must
+    // reproduce the identical bytes: grammar θ, frontier scores,
+    // recognition weights + Adam moments, and RNG state all survive.
+    let resumed = DreamCoder::resume(&domain, deterministic_config(Condition::Full, 1, 5), &back)
+        .expect("resume");
+    let again = resumed.checkpoint(1);
+    assert_eq!(
+        serde_json::to_string(&ckpt).unwrap(),
+        serde_json::to_string(&again).unwrap(),
+        "checkpoint → disk → resume → checkpoint must be a fixed point"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -59,17 +59,6 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Version-space refactoring recurses deeply enough to overflow the
-/// default test-thread stack in unoptimized builds.
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(64 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn test thread")
-        .join()
-        .expect("test thread panicked")
-}
-
 /// A printable fingerprint of a fantasy set: every float down to its bits.
 fn fingerprint(examples: &[dc_recognition::TrainingExample]) -> Vec<String> {
     examples
@@ -117,12 +106,10 @@ fn fantasy_sets_are_identical_at_any_thread_count() {
 fn seeded_full_runs_are_byte_identical_across_thread_counts() {
     let _guard = CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let run_with = |cap: Option<usize>| {
-        on_big_stack(move || {
-            rayon::with_max_threads(cap, || {
-                let domain = ListDomain::new(0);
-                let mut dc = DreamCoder::new(&domain, dream_config(2, 23));
-                serde_json::to_string(&dc.run()).unwrap()
-            })
+        rayon::with_max_threads(cap, || {
+            let domain = ListDomain::new(0);
+            let mut dc = DreamCoder::new(&domain, dream_config(2, 23));
+            serde_json::to_string(&dc.run()).unwrap()
         })
     };
     let single = run_with(Some(1));
@@ -138,39 +125,28 @@ fn checkpoint_from_a_parallel_dream_resumes_identically_on_one_thread() {
     let _guard = CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmpdir("xthread");
     // Reference: two cycles straight through, multi-threaded.
-    let uninterrupted = {
-        let dir = dir.clone();
-        on_big_stack(move || {
-            rayon::with_max_threads(Some(4), || {
-                let domain = ListDomain::new(0);
-                let mut dc = DreamCoder::new(&domain, dream_config(2, 29));
-                let summary = serde_json::to_string(&dc.run()).unwrap();
-                // Also produce the mid-run checkpoint the resume will use:
-                // cycle 1 with checkpointing on, same seed and threads.
-                let mut cfg = dream_config(1, 29);
-                cfg.checkpoint_dir = Some(dir);
-                let mut dc = DreamCoder::new(&domain, cfg);
-                dc.run();
-                summary
-            })
-        })
-    };
+    let uninterrupted = rayon::with_max_threads(Some(4), || {
+        let domain = ListDomain::new(0);
+        let mut dc = DreamCoder::new(&domain, dream_config(2, 29));
+        let summary = serde_json::to_string(&dc.run()).unwrap();
+        // Also produce the mid-run checkpoint the resume will use:
+        // cycle 1 with checkpointing on, same seed and threads.
+        let mut cfg = dream_config(1, 29);
+        cfg.checkpoint_dir = Some(dir.clone());
+        let mut dc = DreamCoder::new(&domain, cfg);
+        dc.run();
+        summary
+    });
     // Resume the parallel run's checkpoint on a single thread: the dream
     // substreams make the remaining trajectory identical anyway.
-    let resumed = {
-        let dir = dir.clone();
-        on_big_stack(move || {
-            rayon::with_max_threads(Some(1), || {
-                let path = latest_checkpoint(&dir).unwrap().expect("checkpoint");
-                let ckpt = Checkpoint::read(&path).unwrap();
-                assert_eq!(ckpt.cycles_completed, 1);
-                let domain = ListDomain::new(0);
-                let mut dc =
-                    DreamCoder::resume(&domain, dream_config(2, 29), &ckpt).expect("resume");
-                serde_json::to_string(&dc.run()).unwrap()
-            })
-        })
-    };
+    let resumed = rayon::with_max_threads(Some(1), || {
+        let path = latest_checkpoint(&dir).unwrap().expect("checkpoint");
+        let ckpt = Checkpoint::read(&path).unwrap();
+        assert_eq!(ckpt.cycles_completed, 1);
+        let domain = ListDomain::new(0);
+        let mut dc = DreamCoder::resume(&domain, dream_config(2, 29), &ckpt).expect("resume");
+        serde_json::to_string(&dc.run()).unwrap()
+    });
     assert_eq!(
         resumed, uninterrupted,
         "single-threaded resume diverged from the multi-threaded run"

@@ -46,28 +46,15 @@ fn span_config(seed: u64) -> DreamCoderConfig {
     }
 }
 
-/// Version-space refactoring recurses deeply enough to overflow the
-/// default test-thread stack in unoptimized builds.
-fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(64 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn test thread")
-        .join()
-        .expect("test thread panicked")
-}
-
 #[test]
 fn span_tree_shape_is_identical_across_thread_counts() {
     dc_telemetry::enable();
     let shape_with = |cap: usize| {
         dc_telemetry::reset_spans();
-        on_big_stack(move || {
-            rayon::with_max_threads(Some(cap), || {
-                let domain = ListDomain::new(0);
-                let mut dc = DreamCoder::new(&domain, span_config(23));
-                dc.run();
-            })
+        rayon::with_max_threads(Some(cap), || {
+            let domain = ListDomain::new(0);
+            let mut dc = DreamCoder::new(&domain, span_config(23));
+            dc.run();
         });
         dc_telemetry::span_shape()
     };

@@ -11,17 +11,6 @@ use dreamcoder::wakesleep::{Condition, DreamCoder, DreamCoderConfig};
 
 #[test]
 fn tiny_run_produces_well_formed_telemetry_json() {
-    // Version-space refactoring recurses deeply enough to overflow the
-    // default test-thread stack in unoptimized builds.
-    std::thread::Builder::new()
-        .stack_size(64 * 1024 * 1024)
-        .spawn(run_and_check)
-        .expect("spawn test thread")
-        .join()
-        .expect("smoke run panicked");
-}
-
-fn run_and_check() {
     dreamcoder::telemetry::enable();
     let config = DreamCoderConfig {
         condition: Condition::NoRecognition,

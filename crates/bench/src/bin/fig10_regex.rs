@@ -6,12 +6,12 @@
 
 use std::time::Duration;
 
-use dc_grammar::enumeration::{enumerate_programs, EnumerationConfig};
+use dc_grammar::enumeration::EnumerationConfig;
 use dc_grammar::grammar::Grammar;
 use dc_lambda::expr::Expr;
 use dc_tasks::domains::regex::{concepts, run_regex_program, RegexDomain};
 use dc_tasks::Domain;
-use dc_wakesleep::{Condition, DreamCoder};
+use dc_wakesleep::{search_task, Condition, DreamCoder, Guide};
 use rand::SeedableRng;
 use serde::Serialize;
 
@@ -25,23 +25,14 @@ struct ConceptResult {
 }
 
 /// Search for the MAP regex for a task under a grammar.
-fn map_regex(grammar: &Grammar, task: &dc_tasks::Task, timeout: Duration) -> Option<(Expr, f64)> {
+fn map_regex(grammar: &Grammar, task: &dc_tasks::Task, timeout: Duration) -> Option<Expr> {
     let cfg = EnumerationConfig {
         timeout: Some(timeout),
         ..EnumerationConfig::default()
     };
-    let mut best: Option<(Expr, f64)> = None;
-    enumerate_programs(grammar, &task.request, &cfg, &mut |e, prior| {
-        let ll = task.oracle.log_likelihood(&e);
-        if ll.is_finite() {
-            let post = ll + prior;
-            if best.as_ref().is_none_or(|(_, b)| post > *b) {
-                best = Some((e, post));
-            }
-        }
-        true
-    });
-    best
+    let guide = Guide::Generative(grammar.clone());
+    let result = search_task(task, &guide, grammar, 1, &cfg);
+    result.frontier.best().map(|e| e.expr.clone())
 }
 
 fn main() {
@@ -88,9 +79,8 @@ fn main() {
             .collect();
 
         for (label, grammar) in &grammars {
-            let found = map_regex(grammar, task, search_time);
-            match found {
-                Some((program, _)) => {
+            match map_regex(grammar, task, search_time) {
+                Some(program) => {
                     let regex = run_regex_program(&program, 20_000).expect("runs");
                     let mut samples = Vec::new();
                     for _ in 0..2 {

@@ -40,7 +40,6 @@ pub fn bench_config(condition: Condition, seed: u64) -> DreamCoderConfig {
         condition,
         cycles: 3,
         minibatch: 12,
-        beam_size: 5,
         compression_beam: 2,
         enumeration: EnumerationConfig {
             timeout: Some(Duration::from_millis((700.0 * s) as u64)),

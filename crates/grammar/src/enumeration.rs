@@ -13,20 +13,23 @@ use std::time::{Duration, Instant};
 use dc_lambda::expr::Expr;
 use dc_lambda::types::{Context, Type};
 
-use crate::grammar::{candidate_heads, commit_head, note_typed_out, take_typed_out, ProgramPrior};
+use crate::grammar::{candidate_heads, commit_head, ProgramPrior};
 use crate::library::BigramParent;
+
+/// Upper bound of the first budget window, in nats.
+pub const BUDGET_START: f64 = 6.0;
+
+/// Window growth per round, in nats.
+pub const BUDGET_STEP: f64 = 1.5;
+
+/// Maximum syntactic nesting depth of enumerated programs.
+pub const MAX_DEPTH: usize = 16;
 
 /// Controls for an enumeration run.
 #[derive(Debug, Clone)]
 pub struct EnumerationConfig {
-    /// First budget window upper bound, in nats.
-    pub budget_start: f64,
-    /// Window growth per round, in nats.
-    pub budget_step: f64,
     /// Give up beyond this description length.
     pub max_budget: f64,
-    /// Maximum syntactic nesting depth of enumerated programs.
-    pub max_depth: usize,
     /// Wall-clock timeout for the whole run.
     pub timeout: Option<Duration>,
 }
@@ -34,10 +37,7 @@ pub struct EnumerationConfig {
 impl Default for EnumerationConfig {
     fn default() -> EnumerationConfig {
         EnumerationConfig {
-            budget_start: 6.0,
-            budget_step: 1.5,
             max_budget: 40.0,
-            max_depth: 16,
             timeout: None,
         }
     }
@@ -86,10 +86,9 @@ pub fn enumerate_programs_stats(
 ) -> EnumerationStats {
     let _span = dc_telemetry::span("enumeration.run_time");
     let mut stats = EnumerationStats::default();
-    take_typed_out(); // drop any stale tally from this thread
     let started = Instant::now();
     let mut lower = 0.0;
-    let mut upper = config.budget_start;
+    let mut upper = BUDGET_START;
     let deadline = config.timeout.map(|t| started + t);
     'outer: while lower < config.max_budget {
         stats.windows += 1;
@@ -104,13 +103,14 @@ pub fn enumerate_programs_stats(
             request,
             lower,
             upper.min(config.max_budget),
-            config.max_depth,
+            MAX_DEPTH,
             &ticker,
             &mut |_, e, ll| {
                 stats.programs += 1;
                 callback(e, ll)
             },
         );
+        stats.typed_out += ticker.typed_out.get();
         if !keep_going {
             // Either the deadline fired mid-window or the callback asked
             // to stop; the window is incomplete either way.
@@ -125,9 +125,8 @@ pub fn enumerate_programs_stats(
             }
         }
         lower = upper;
-        upper += config.budget_step;
+        upper += BUDGET_STEP;
     }
-    stats.typed_out = take_typed_out();
     // One batched update per run, not per program: the inner loop stays
     // free of atomics even with telemetry enabled.
     if dc_telemetry::is_enabled() {
@@ -143,14 +142,18 @@ pub fn enumerate_programs_stats(
 /// `Instant::now()` costs more than the expansion itself deep in the tree.
 const DEADLINE_CHECK_INTERVAL: u32 = 1024;
 
-/// Amortized deadline checks. Once expired, stays expired (the clock is
-/// never consulted again), so an exhausted run unwinds quickly. Interior
-/// mutability lets the recursion and its continuation closures share one
-/// ticker by plain `&` reference.
+/// Amortized deadline checks, plus the window's typed-out tally. Once
+/// expired, stays expired (the clock is never consulted again), so an
+/// exhausted run unwinds quickly. Interior mutability lets the recursion
+/// and its continuation closures share one ticker by plain `&` reference.
 struct DeadlineTicker {
     deadline: Option<Instant>,
     countdown: Cell<u32>,
     expired: Cell<bool>,
+    /// Candidate heads this window rejected by unification. Counted here
+    /// rather than in [`candidate_heads`], which also serves re-scoring
+    /// (`log_prior`) calls made from inside the enumeration callback.
+    typed_out: Cell<u64>,
 }
 
 impl DeadlineTicker {
@@ -159,7 +162,12 @@ impl DeadlineTicker {
             deadline,
             countdown: Cell::new(DEADLINE_CHECK_INTERVAL),
             expired: Cell::new(false),
+            typed_out: Cell::new(0),
         }
+    }
+
+    fn note_typed_out(&self, n: usize) {
+        self.typed_out.set(self.typed_out.get() + n as u64);
     }
 
     #[inline]
@@ -227,7 +235,9 @@ fn enum_request(
             &mut |c, body, ll| ret(c, Expr::abstraction(body), ll),
         );
     }
-    for head in candidate_heads(prior, parent, arg, ctx, env, request) {
+    let heads = candidate_heads(prior, parent, arg, ctx, env, request);
+    ticker.note_typed_out(env.len() + prior.library().len() - heads.len());
+    for head in heads {
         let mdl = -head.log_prob;
         if mdl >= upper {
             continue;
@@ -237,7 +247,7 @@ fn enum_request(
         // `Context` per candidate.
         let cp = ctx.checkpoint();
         let Some(arg_types) = commit_head(prior, ctx, env, request, &head) else {
-            note_typed_out(1);
+            ticker.note_typed_out(1);
             ctx.rollback(cp);
             continue;
         };
@@ -404,8 +414,9 @@ mod tests {
         let t = tint();
         for (e, ll) in enumerate_top(&g, &t, &EnumerationConfig::default(), 100) {
             let direct = g.log_prior(&t, &e);
-            assert!(
-                (direct - ll).abs() < 1e-6,
+            assert_eq!(
+                direct.to_bits(),
+                ll.to_bits(),
                 "prior mismatch for {e}: {direct} vs {ll}"
             );
         }
@@ -428,7 +439,6 @@ mod tests {
         let cfg = EnumerationConfig {
             timeout: Some(Duration::from_millis(50)),
             max_budget: 1000.0,
-            ..EnumerationConfig::default()
         };
         let started = Instant::now();
         let stats = enumerate_programs_stats(&g, &tint(), &cfg, &mut |_, _| true);

@@ -7,32 +7,12 @@
 //! slot is being filled — which is also the output format of the neural
 //! recognition model (§4).
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use dc_lambda::expr::Expr;
 use dc_lambda::types::{Context, Type};
 
 use crate::library::{BigramParent, Library, WeightVector};
-
-thread_local! {
-    /// Heads rejected by unification since the last [`take_typed_out`] —
-    /// the enumerator's forensic "typed out" tally. Thread-local because
-    /// each enumeration run stays on one thread (rayon workers run whole
-    /// tasks), so bracketing a run with take/take reads exactly its own
-    /// rejections without touching shared atomics in the hot path.
-    static TYPED_OUT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Record `n` unification-rejected candidate heads on this thread.
-pub(crate) fn note_typed_out(n: u64) {
-    TYPED_OUT.with(|c| c.set(c.get() + n));
-}
-
-/// Read and reset this thread's typed-out tally.
-pub(crate) fn take_typed_out() -> u64 {
-    TYPED_OUT.with(|c| c.replace(0))
-}
 
 /// Anything that assigns (unnormalized) weights to productions given a
 /// bigram context. Implemented by [`Grammar`] (ignores context) and
@@ -240,7 +220,6 @@ pub fn candidate_heads(
         }
     }
     if unify_failures > 0 {
-        note_typed_out(unify_failures);
         // Cached handle: this records once per hole expansion, which is
         // the innermost loop of enumeration — a registry lookup here
         // blows the ≤5% instrumentation budget (DESIGN.md §10).

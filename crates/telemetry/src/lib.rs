@@ -31,7 +31,7 @@
 //! ## Live introspection
 //!
 //! Beyond the flat metrics, the crate carries the run's observability
-//! layer (DESIGN.md §10): hierarchical [`span`] tracing with
+//! layer (DESIGN.md §10): hierarchical [`span`](fn@span) tracing with
 //! flame-style aggregation and Chrome trace-event export
 //! ([`export_chrome_trace`]), a hand-rolled HTTP status server
 //! ([`start_status_server`]) exposing `/metrics`, `/status`, and

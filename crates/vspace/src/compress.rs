@@ -19,6 +19,12 @@ use rayon::prelude::*;
 use crate::extract::{ExtractionMemo, Matcher};
 use crate::space::{SpaceArena, SpaceId, SpaceNode};
 
+/// AIC weight per continuous degree of freedom (one per production).
+const AIC_WEIGHT: f64 = 1.0;
+
+/// Minimum syntax-tree size of a proposed routine.
+const MIN_CANDIDATE_SIZE: usize = 3;
+
 /// Hyperparameters of abstraction sleep.
 #[derive(Debug, Clone)]
 pub struct CompressionConfig {
@@ -32,10 +38,6 @@ pub struct CompressionConfig {
     pub pseudocounts: f64,
     /// Cap on inventions accepted in one sleep.
     pub max_inventions: usize,
-    /// AIC weight per continuous degree of freedom.
-    pub aic_weight: f64,
-    /// Minimum syntax-tree size of a proposed routine.
-    pub min_candidate_size: usize,
 }
 
 impl Default for CompressionConfig {
@@ -46,8 +48,6 @@ impl Default for CompressionConfig {
             structure_penalty: 1.5,
             pseudocounts: 1.0,
             max_inventions: 10,
-            aic_weight: 1.0,
-            min_candidate_size: 3,
         }
     }
 }
@@ -102,7 +102,7 @@ pub fn joint_score(
         })
         .sum();
     total -= config.structure_penalty * structure as f64;
-    total -= config.aic_weight * library.len() as f64;
+    total -= AIC_WEIGHT * library.len() as f64;
     (grammar, total)
 }
 
@@ -145,7 +145,7 @@ fn build_frontier_spaces(
                 let Some(body) = sampled.beta_normal_form(1_000) else {
                     continue;
                 };
-                if body.size() < config.min_candidate_size
+                if body.size() < MIN_CANDIDATE_SIZE
                     || !matches!(body, Expr::Abstraction(_))
                     || !body.is_closed()
                     || existing.contains(&body.to_string())

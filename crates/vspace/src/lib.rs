@@ -8,7 +8,7 @@
 //!   (Definition 3.1), intersection, and the `↓` downshift;
 //! * [`invert`] — the `S_k`, `Iβ′`, `Iβn`, and `Iβ` operators of Fig 5;
 //! * [`extract`] — minimum-description-length extraction `extract(v | D)`;
-//! * [`compress`] — candidate proposal and the Eq. 4 objective, greedily
+//! * [`compress`](mod@compress) — candidate proposal and the Eq. 4 objective, greedily
 //!   growing the library until the score stops improving.
 //!
 //! # Example: refactoring exposes shared structure

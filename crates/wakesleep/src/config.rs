@@ -32,18 +32,30 @@ pub enum Condition {
 }
 
 impl Condition {
+    /// The recognition head this condition trains — output
+    /// parameterization and training objective — or `None` when it
+    /// trains no recognition model.
+    pub fn recognition_head(&self) -> Option<(Parameterization, Objective)> {
+        match self {
+            Condition::Full
+            | Condition::NoCompression
+            | Condition::Memorize {
+                with_recognition: true,
+            }
+            | Condition::NeuralOnly => Some((Parameterization::Bigram, Objective::Map)),
+            Condition::Ec2 => Some((Parameterization::Unigram, Objective::Posterior)),
+            Condition::NoRecognition
+            | Condition::Memorize {
+                with_recognition: false,
+            }
+            | Condition::Ec
+            | Condition::EnumerationOnly => None,
+        }
+    }
+
     /// Does this condition train a recognition model?
     pub fn uses_recognition(&self) -> bool {
-        matches!(
-            self,
-            Condition::Full
-                | Condition::NoCompression
-                | Condition::Memorize {
-                    with_recognition: true
-                }
-                | Condition::Ec2
-                | Condition::NeuralOnly
-        )
+        self.recognition_head().is_some()
     }
 
     /// Does this condition grow the library?
@@ -83,28 +95,18 @@ impl Condition {
 pub struct RecognitionConfig {
     /// Hidden layer width.
     pub hidden_dim: usize,
-    /// Adam learning rate.
-    pub learning_rate: f64,
     /// Training epochs per dream sleep.
     pub epochs: usize,
     /// Number of fantasy tasks to dream per cycle.
     pub fantasies: usize,
-    /// Output head parameterization.
-    pub parameterization: Parameterization,
-    /// Training objective.
-    pub objective: Objective,
-    /// Max depth of sampled fantasy programs.
-    pub sample_depth: usize,
     /// Appendix Algorithm 3: instead of training on the sampled program
     /// itself (classic wake-sleep), enumerate briefly on each dreamed task
     /// and train on the maximum-a-posteriori program that solves it.
     pub map_fantasies: bool,
-    /// Per-dream enumeration budget when `map_fantasies` is on.
-    pub map_fantasy_timeout: std::time::Duration,
     /// Optional nats budget for the MAP-fantasy enumeration. When set, the
     /// per-dream search is bounded by description length instead of wall
-    /// clock, so MAP fantasies stay deterministic (DESIGN.md §8); the
-    /// timeout above is ignored.
+    /// clock, so MAP fantasies stay deterministic (DESIGN.md §8); when
+    /// unset, each dream searches for a fixed 100 ms.
     pub map_fantasy_budget: Option<f64>,
 }
 
@@ -112,14 +114,9 @@ impl Default for RecognitionConfig {
     fn default() -> RecognitionConfig {
         RecognitionConfig {
             hidden_dim: 32,
-            learning_rate: 0.01,
             epochs: 30,
             fantasies: 40,
-            parameterization: Parameterization::Bigram,
-            objective: Objective::Map,
-            sample_depth: 10,
             map_fantasies: false,
-            map_fantasy_timeout: std::time::Duration::from_millis(100),
             map_fantasy_budget: None,
         }
     }
@@ -132,10 +129,9 @@ pub struct DreamCoderConfig {
     pub condition: Condition,
     /// Number of wake/sleep cycles.
     pub cycles: usize,
-    /// Beam size `|B_x|` (the paper uses 5).
-    pub beam_size: usize,
-    /// How many beam entries per task feed abstraction sleep (≤ beam_size;
-    /// a single-CPU scaling knob — the paper compresses the full beams).
+    /// How many beam entries per task feed abstraction sleep (at most the
+    /// paper's beam size `|B_x|` = 5; a single-CPU scaling knob — the
+    /// paper compresses the full beams).
     pub compression_beam: usize,
     /// Tasks per wake minibatch (the paper's random minibatching; §2.4).
     pub minibatch: usize,
@@ -168,7 +164,6 @@ impl Default for DreamCoderConfig {
         DreamCoderConfig {
             condition: Condition::Full,
             cycles: 5,
-            beam_size: 5,
             compression_beam: 5,
             minibatch: 20,
             enumeration: EnumerationConfig {

@@ -24,6 +24,12 @@ use crate::wake::{search_task_guarded, wake, Guide, SearchTrace, TaskSearchResul
 use dc_grammar::persist::{load_frontier, load_grammar, save_frontier, save_grammar};
 use serde::Deserialize;
 
+/// Beam size `|B_x|`: the programs kept per task (the paper's 5).
+const BEAM_SIZE: usize = 5;
+
+/// Adam learning rate of the recognition model.
+const LEARNING_RATE: f64 = 0.01;
+
 /// Per-cycle metrics (the data behind Fig 7A–D).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CycleStats {
@@ -88,19 +94,20 @@ impl<'d> DreamCoder<'d> {
         let library = domain.initial_library();
         let grammar = Grammar::uniform(Arc::clone(&library));
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(config.seed);
-        let recognition = if config.condition.uses_recognition() {
-            Some(RecognitionModel::new(
-                library,
-                domain.feature_dim(),
-                config.recognition.hidden_dim,
-                config.recognition.parameterization,
-                config.recognition.objective,
-                config.recognition.learning_rate,
-                &mut rng,
-            ))
-        } else {
-            None
-        };
+        let recognition = config
+            .condition
+            .recognition_head()
+            .map(|(param, objective)| {
+                RecognitionModel::new(
+                    library,
+                    domain.feature_dim(),
+                    config.recognition.hidden_dim,
+                    param,
+                    objective,
+                    LEARNING_RATE,
+                    &mut rng,
+                )
+            });
         DreamCoder {
             domain,
             config,
@@ -121,8 +128,9 @@ impl<'d> DreamCoder<'d> {
     ///
     /// # Errors
     /// [`CheckpointError::Mismatch`] when the checkpoint was taken under
-    /// a different domain, condition, or seed (or references a train task
-    /// the domain no longer has); [`CheckpointError::Grammar`] /
+    /// a different domain, condition, or seed, stores a recognition head
+    /// other than the one the condition trains, or references a train task
+    /// the domain no longer has; [`CheckpointError::Grammar`] /
     /// [`CheckpointError::Recognition`] when stored state fails to reload
     /// against the domain's primitive set.
     pub fn resume(
@@ -171,18 +179,25 @@ impl<'d> DreamCoder<'d> {
                 .map_err(CheckpointError::Grammar)?;
             frontiers.insert(tf.task, frontier);
         }
-        let recognition = if config.condition.uses_recognition() {
-            let saved = ckpt.recognition.clone().ok_or_else(|| {
-                CheckpointError::Mismatch(
-                    "condition uses a recognition model but the checkpoint stores none".into(),
+        let recognition = match config.condition.recognition_head() {
+            Some(head) => {
+                let saved = ckpt.recognition.clone().ok_or_else(|| {
+                    CheckpointError::Mismatch(
+                        "condition uses a recognition model but the checkpoint stores none".into(),
+                    )
+                })?;
+                let saved_head = (saved.parameterization, saved.objective);
+                if saved_head != head {
+                    return Err(CheckpointError::Mismatch(format!(
+                        "checkpoint stores a {saved_head:?} recognition head, condition trains {head:?}"
+                    )));
+                }
+                Some(
+                    RecognitionModel::from_saved(saved, Arc::clone(&grammar.library))
+                        .map_err(CheckpointError::Recognition)?,
                 )
-            })?;
-            Some(
-                RecognitionModel::from_saved(saved, Arc::clone(&grammar.library))
-                    .map_err(CheckpointError::Recognition)?,
-            )
-        } else {
-            None
+            }
+            None => None,
         };
         let rng = ckpt.rng.restore()?;
         dc_telemetry::incr("checkpoint.resumes");
@@ -260,7 +275,7 @@ impl<'d> DreamCoder<'d> {
             &tasks,
             &guides,
             &self.grammar,
-            self.config.beam_size,
+            BEAM_SIZE,
             &self.config.enumeration,
         );
         let paired: Vec<(usize, TaskSearchResult)> = indices.into_iter().zip(results).collect();
@@ -273,7 +288,7 @@ impl<'d> DreamCoder<'d> {
                 .entry(*i)
                 .or_insert_with(|| Frontier::new(result.frontier.request.clone()));
             for entry in &result.frontier.entries {
-                slot.insert(entry.clone(), self.config.beam_size);
+                slot.insert(entry.clone(), BEAM_SIZE);
             }
         }
         paired
@@ -315,7 +330,7 @@ impl<'d> DreamCoder<'d> {
         if let Some(old) = self.recognition.take() {
             let mut rebuilt = old.rebuild_for_library(
                 Arc::clone(&self.grammar.library),
-                self.config.recognition.learning_rate,
+                LEARNING_RATE,
                 &mut self.rng,
             );
             rebuilt.set_prior_bias(Some(self.grammar.weights.clone()));
@@ -364,7 +379,7 @@ impl<'d> DreamCoder<'d> {
             .map(|task| {
                 let _span = dc_telemetry::span_under(parent, "eval.search");
                 let guide = self.guide_for(task);
-                search_task_guarded(task, &guide, &self.grammar, self.config.beam_size, config)
+                search_task_guarded(task, &guide, &self.grammar, BEAM_SIZE, config)
             })
             .collect();
         // Wall clock is the only nondeterministic input to a seeded run;
@@ -613,6 +628,45 @@ mod tests {
     }
 
     #[test]
+    fn the_condition_picks_the_recognition_head() {
+        use dc_recognition::{Objective, Parameterization};
+        let domain = ListDomain::new(0);
+        let head = |condition| {
+            let dc = DreamCoder::new(&domain, quick_config(condition));
+            dc.recognition
+                .map(|m| (m.parameterization(), m.objective()))
+        };
+        assert_eq!(
+            head(Condition::Ec2),
+            Some((Parameterization::Unigram, Objective::Posterior))
+        );
+        for condition in [
+            Condition::Full,
+            Condition::NoCompression,
+            Condition::Memorize {
+                with_recognition: true,
+            },
+            Condition::NeuralOnly,
+        ] {
+            assert_eq!(
+                head(condition),
+                Some((Parameterization::Bigram, Objective::Map)),
+                "{condition:?}"
+            );
+        }
+        for condition in [
+            Condition::NoRecognition,
+            Condition::Memorize {
+                with_recognition: false,
+            },
+            Condition::Ec,
+            Condition::EnumerationOnly,
+        ] {
+            assert_eq!(head(condition), None, "{condition:?}");
+        }
+    }
+
+    #[test]
     fn enumeration_only_never_learns() {
         let domain = ListDomain::new(0);
         let mut dc = DreamCoder::new(&domain, quick_config(Condition::EnumerationOnly));
@@ -652,12 +706,10 @@ mod tests {
             enumeration: EnumerationConfig {
                 timeout: None,
                 max_budget: 8.0,
-                ..EnumerationConfig::default()
             },
             test_enumeration: EnumerationConfig {
                 timeout: None,
                 max_budget: 6.5,
-                ..EnumerationConfig::default()
             },
             compression: dc_vspace::CompressionConfig {
                 refactor_steps: 1,

@@ -2,7 +2,9 @@
 //! *dreaming* (train the recognition model on replays + fantasies, §4).
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use dc_grammar::enumeration::EnumerationConfig;
 use dc_grammar::frontier::Frontier;
 use dc_grammar::grammar::Grammar;
 use dc_grammar::inside_outside::fit_grammar;
@@ -18,7 +20,13 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::config::Condition;
-use crate::wake::panic_message;
+use crate::wake::{panic_message, search_task, Guide};
+
+/// Max depth of sampled fantasy programs.
+const SAMPLE_DEPTH: usize = 10;
+
+/// Per-dream MAP-fantasy search time when no nats budget is set.
+const MAP_FANTASY_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Run abstraction sleep under the given experimental condition.
 ///
@@ -176,7 +184,7 @@ fn fantasy_substream(stream_key: u64, slot: u64) -> rand_chacha::ChaCha8Rng {
 /// threads by slot index (§4's dreaming, parallelized).
 ///
 /// Slots run in waves of `config.fantasies`; each slot samples, dreams,
-/// and (optionally) MAP-solves inside its own [`fantasy_substream`], and
+/// and (optionally) MAP-solves inside its own `fantasy_substream`, and
 /// successes are kept in slot order. The result is a pure function of
 /// `(grammar, config, stream_key)` at any thread count. Ten waves bound
 /// the work at the serial loop's old `fantasies * 10` attempt budget.
@@ -226,7 +234,7 @@ fn fantasy_attempt(
 ) -> Option<TrainingExample> {
     let mut rng = fantasy_substream(stream_key, slot);
     let request = &requests[rng.gen_range(0..requests.len())];
-    let program = sample_program_with_retries(grammar, request, &mut rng, config.sample_depth, 10)?;
+    let program = sample_program_with_retries(grammar, request, &mut rng, SAMPLE_DEPTH, 10)?;
     let task = domain.dream(&program, request, &mut rng)?;
     // Appendix Algorithm 3: with MAP fantasies, the training target is the
     // maximum-a-posteriori program found by a short enumeration on the
@@ -270,39 +278,29 @@ fn fantasy_attempt_guarded(
 }
 
 /// Algorithm 3's inner step: enumerate in decreasing prior order and keep
-/// the program maximizing `P[x|rho] P[rho|D,theta]` for the dreamed task.
+/// the program maximizing `P[x|rho] P[rho|D,theta]` for the dreamed task
+/// (a wake search with a beam of one).
 ///
 /// With a `map_fantasy_budget` the search is bounded by description length
-/// (deterministic); otherwise by the wall-clock `map_fantasy_timeout`.
+/// (deterministic); otherwise by [`MAP_FANTASY_TIMEOUT`].
 fn map_program_for(
     grammar: &Grammar,
     task: &Task,
     config: &crate::config::RecognitionConfig,
-) -> Option<dc_lambda::expr::Expr> {
-    use dc_grammar::enumeration::{enumerate_programs, EnumerationConfig};
+) -> Option<Expr> {
     let cfg = match config.map_fantasy_budget {
         Some(nats) => EnumerationConfig {
             timeout: None,
             max_budget: nats,
-            ..EnumerationConfig::default()
         },
         None => EnumerationConfig {
-            timeout: Some(config.map_fantasy_timeout),
+            timeout: Some(MAP_FANTASY_TIMEOUT),
             ..EnumerationConfig::default()
         },
     };
-    let mut best: Option<(dc_lambda::expr::Expr, f64)> = None;
-    enumerate_programs(grammar, &task.request, &cfg, &mut |expr, prior| {
-        let ll = task.oracle.log_likelihood(&expr);
-        if ll.is_finite() {
-            let post = ll + prior;
-            if best.as_ref().is_none_or(|(_, b)| post > *b) {
-                best = Some((expr, post));
-            }
-        }
-        true
-    });
-    best.map(|(e, _)| e)
+    let guide = Guide::Generative(grammar.clone());
+    let result = search_task(task, &guide, grammar, 1, &cfg);
+    result.frontier.best().map(|e| e.expr.clone())
 }
 
 #[cfg(test)]

@@ -384,6 +384,31 @@ mod tests {
     }
 
     #[test]
+    fn trace_typed_out_counts_only_the_search() {
+        // Every hit is re-scored with `log_prior`, which offers candidate
+        // heads again; those re-scoring rejections must not reach the
+        // trace, which reports what the enumeration itself pruned.
+        use dc_tasks::domain::Domain;
+        use dc_tasks::domains::list::ListDomain;
+
+        let domain = ListDomain::new(0);
+        let g = Grammar::uniform(domain.initial_library());
+        let guide = Guide::Generative(g.clone());
+        let config = EnumerationConfig {
+            max_budget: 9.0,
+            timeout: None,
+        };
+        let mut solved = 0;
+        for task in domain.train_tasks() {
+            let result = search_task(task, &guide, &g, 5, &config);
+            let bare = enumerate_programs_stats(&g, &task.request, &config, &mut |_, _| true);
+            assert_eq!(result.trace.typed_out, bare.typed_out, "task {}", task.name);
+            solved += usize::from(!result.frontier.is_empty());
+        }
+        assert!(solved > 0, "some list tasks are solved at 9 nats");
+    }
+
+    #[test]
     fn parallel_wake_matches_sequential() {
         let g = setup();
         let task = Task::io(

@@ -22,12 +22,10 @@ fn deterministic_config(condition: Condition, cycles: usize, seed: u64) -> Dream
         enumeration: EnumerationConfig {
             timeout: None,
             max_budget: 8.0,
-            ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
             timeout: None,
             max_budget: 6.5,
-            ..EnumerationConfig::default()
         },
         compression: dc_vspace::CompressionConfig {
             refactor_steps: 1,
@@ -92,30 +90,34 @@ fn resume_after_interrupt_matches_uninterrupted_run() {
 
 #[test]
 fn checkpoint_survives_disk_round_trip_bit_for_bit() {
-    let dir = tmpdir("bitexact");
-    let domain = ListDomain::new(0);
-    let mut dc = DreamCoder::new(&domain, deterministic_config(Condition::Full, 1, 5));
-    dc.run();
-    let ckpt = dc.checkpoint(1);
-    assert!(!ckpt.frontiers.is_empty(), "should have solved something");
-    assert!(
-        ckpt.recognition.is_some(),
-        "Full trains a recognition model"
-    );
-    let path = ckpt.write_atomic(&dir).unwrap();
-    let back = Checkpoint::read(&path).unwrap();
-    // Resuming from the file and immediately re-checkpointing must
-    // reproduce the identical bytes: grammar θ, frontier scores,
-    // recognition weights + Adam moments, and RNG state all survive.
-    let resumed = DreamCoder::resume(&domain, deterministic_config(Condition::Full, 1, 5), &back)
-        .expect("resume");
-    let again = resumed.checkpoint(1);
-    assert_eq!(
-        serde_json::to_string(&ckpt).unwrap(),
-        serde_json::to_string(&again).unwrap(),
-        "checkpoint → disk → resume → checkpoint must be a fixed point"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+    // EC2 stores the unigram `L_post` head; every other recognition
+    // condition the bigram `L_MAP` one.
+    for (tag, condition) in [("full", Condition::Full), ("ec2", Condition::Ec2)] {
+        let dir = tmpdir(&format!("bitexact-{tag}"));
+        let domain = ListDomain::new(0);
+        let mut dc = DreamCoder::new(&domain, deterministic_config(condition, 1, 5));
+        dc.run();
+        let ckpt = dc.checkpoint(1);
+        assert!(!ckpt.frontiers.is_empty(), "should have solved something");
+        assert!(
+            ckpt.recognition.is_some(),
+            "{condition:?} trains a recognition model"
+        );
+        let path = ckpt.write_atomic(&dir).unwrap();
+        let back = Checkpoint::read(&path).unwrap();
+        // Resuming from the file and immediately re-checkpointing must
+        // reproduce the identical bytes: grammar θ, frontier scores,
+        // recognition weights + Adam moments, and RNG state all survive.
+        let resumed = DreamCoder::resume(&domain, deterministic_config(condition, 1, 5), &back)
+            .expect("resume");
+        let again = resumed.checkpoint(1);
+        assert_eq!(
+            serde_json::to_string(&ckpt).unwrap(),
+            serde_json::to_string(&again).unwrap(),
+            "checkpoint → disk → resume → checkpoint must be a fixed point ({condition:?})"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
@@ -182,6 +184,19 @@ fn resume_rejects_mismatched_runs() {
             &wrong_version
         ),
         Err(CheckpointError::Version { found: 99 })
+    ));
+
+    // A recognition head other than the condition's: an EC2 checkpoint
+    // holding the bigram `L_MAP` head, as EC2 runs once trained.
+    let mut wrong_head = ckpt.clone();
+    wrong_head.condition = Condition::Ec2.label().to_owned();
+    assert!(matches!(
+        DreamCoder::resume(
+            &domain,
+            deterministic_config(Condition::Ec2, 1, 5),
+            &wrong_head
+        ),
+        Err(CheckpointError::Mismatch(_))
     ));
 
     let mut bad_task = ckpt.clone();

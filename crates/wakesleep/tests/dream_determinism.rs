@@ -26,12 +26,10 @@ fn dream_config(cycles: usize, seed: u64) -> DreamCoderConfig {
         enumeration: EnumerationConfig {
             timeout: None,
             max_budget: 8.0,
-            ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
             timeout: None,
             max_budget: 6.5,
-            ..EnumerationConfig::default()
         },
         compression: dc_vspace::CompressionConfig {
             refactor_steps: 1,
@@ -45,7 +43,6 @@ fn dream_config(cycles: usize, seed: u64) -> DreamCoderConfig {
             hidden_dim: 8,
             map_fantasies: true,
             map_fantasy_budget: Some(6.0),
-            ..dc_wakesleep::RecognitionConfig::default()
         },
         seed,
         deterministic_timing: true,

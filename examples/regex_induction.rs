@@ -8,10 +8,11 @@
 
 use std::time::Duration;
 
-use dreamcoder::grammar::enumeration::{enumerate_programs, EnumerationConfig};
+use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::grammar::Grammar;
 use dreamcoder::tasks::domains::regex::{run_regex_program, RegexDomain};
 use dreamcoder::tasks::Domain;
+use dreamcoder::wakesleep::{search_task, Guide};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -19,6 +20,7 @@ fn main() {
     let domain = RegexDomain::new(0);
     let library = domain.initial_library();
     let grammar = Grammar::uniform(Arc::clone(&library));
+    let guide = Guide::Generative(grammar.clone());
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
 
     let config = EnumerationConfig {
@@ -45,21 +47,12 @@ fn main() {
         for ex in &task.examples {
             println!("    {:?}", ex.output);
         }
-        // Search for the maximum-a-posteriori generative regex.
-        let mut best: Option<(dreamcoder::lambda::Expr, f64)> = None;
-        enumerate_programs(&grammar, &task.request, &config, &mut |expr, prior| {
-            let ll = task.oracle.log_likelihood(&expr);
-            if ll.is_finite() {
-                let posterior = ll + prior;
-                if best.as_ref().is_none_or(|(_, b)| posterior > *b) {
-                    best = Some((expr, posterior));
-                }
-            }
-            true
-        });
-        match best {
-            Some((program, _)) => {
-                let regex = run_regex_program(&program, 10_000).expect("found regex runs");
+        // Search for the maximum-a-posteriori generative regex: a wake
+        // search with a beam of one.
+        let result = search_task(task, &guide, &grammar, 1, &config);
+        match result.frontier.best() {
+            Some(best) => {
+                let regex = run_regex_program(&best.expr, 10_000).expect("found regex runs");
                 println!("  MAP program: {}", regex.display());
                 println!("  imagined samples:");
                 for _ in 0..4 {

@@ -177,12 +177,10 @@ fn main() -> ExitCode {
                     EnumerationConfig {
                         timeout: None,
                         max_budget: args.flag_f64("--wake-nats", 11.0),
-                        ..EnumerationConfig::default()
                     },
                     EnumerationConfig {
                         timeout: None,
                         max_budget: args.flag_f64("--test-nats", 9.0),
-                        ..EnumerationConfig::default()
                     },
                 )
             } else {

@@ -6,7 +6,9 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use dreamcoder::grammar::enumeration::{enumerate_programs_stats, EnumerationConfig};
+use dreamcoder::grammar::enumeration::{
+    enumerate_programs_stats, EnumerationConfig, BUDGET_START, BUDGET_STEP, MAX_DEPTH,
+};
 use dreamcoder::grammar::grammar::ProgramPrior;
 use dreamcoder::grammar::library::{BigramParent, Library, WeightVector};
 use dreamcoder::grammar::{ContextualGrammar, Grammar};
@@ -98,13 +100,12 @@ fn enumerate(prior: &dyn ProgramPrior, request: &Type, max_budget: f64) -> Run {
 /// every hole.
 fn enumerate_reference(prior: &dyn ProgramPrior, request: &Type, max_budget: f64) -> Run {
     let counting = counting(prior);
-    let config = config(max_budget);
     let typed_out = Cell::new(0);
     let mut programs = Vec::new();
     let mut windows = 0;
     let mut lower = 0.0;
-    let mut upper = config.budget_start;
-    while lower < config.max_budget {
+    let mut upper = BUDGET_START;
+    while lower < max_budget {
         windows += 1;
         reference_request(
             &counting,
@@ -115,12 +116,12 @@ fn enumerate_reference(prior: &dyn ProgramPrior, request: &Type, max_budget: f64
             0,
             request,
             lower,
-            upper.min(config.max_budget),
-            config.max_depth,
+            upper.min(max_budget),
+            MAX_DEPTH,
             &mut |_, e, ll| programs.push((e.to_string(), ll.to_bits())),
         );
         lower = upper;
-        upper += config.budget_step;
+        upper += BUDGET_STEP;
     }
     Run {
         programs,

@@ -363,10 +363,10 @@ mod tests {
     use super::*;
 
     /// The enable flag is process-global, so tests that toggle it must
-    /// not interleave.
+    /// not interleave, in this module or any other.
     use std::sync::{Mutex, MutexGuard};
 
-    fn flag_lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn flag_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -305,6 +305,7 @@ mod tests {
 
     #[test]
     fn serves_health_metrics_status_and_404() {
+        let _serial = crate::tests::flag_lock();
         crate::enable();
         crate::add("test.server.counter", 3);
         crate::set_gauge("test.server.gauge", 2.5);

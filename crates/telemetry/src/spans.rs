@@ -533,14 +533,10 @@ pub fn export_chrome_trace(path: &std::path::Path) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    /// Span state is process-global; tests that toggle the enable flag or
-    /// reset the registry must not interleave.
-    use std::sync::MutexGuard;
-
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    /// Span state and the enable flag are process-global; tests that
+    /// toggle the flag or reset the registry must not interleave with
+    /// each other or with the crate's other flag-toggling tests.
+    use crate::tests::flag_lock as serial;
 
     fn find<'a>(spans: &'a [SpanSnapshot], name: &str) -> Option<&'a SpanSnapshot> {
         spans.iter().find(|s| s.name == name)

@@ -519,51 +519,4 @@ mod tests {
         assert!(result.steps.is_empty());
         assert_eq!(result.library.len(), lib.len());
     }
-
-    #[test]
-    fn map_is_extracted_from_two_recursive_programs() {
-        // The Fig-2 experiment: two different recursive list programs
-        // written with fix, whose refactorings share the map skeleton.
-        let prims = base_primitives();
-        let lib = Arc::new(Library::from_primitives(prims.iter().cloned()));
-        let g = Grammar::uniform(Arc::clone(&lib));
-        let t = Type::arrow(tlist(tint()), tlist(tint()));
-        let double_all =
-            "(lambda (fix (lambda (lambda (if (is-nil $0) nil (cons (+ (car $0) (car $0)) ($1 (cdr $0)))))) $0))";
-        let decrement_all =
-            "(lambda (fix (lambda (lambda (if (is-nil $0) nil (cons (- (car $0) 1) ($1 (cdr $0)))))) $0))";
-        let frontiers = vec![
-            frontier_of(double_all, t.clone(), &g),
-            frontier_of(decrement_all, t.clone(), &g),
-        ];
-        // Two inversion steps suffice for the map skeleton: one to create
-        // the inner redex ((λ (+ $0 $0)) (car $0)), one to abstract the
-        // function out of the fix. (The paper's default n=3 also works but
-        // is slow in debug builds; see the release-mode benches.)
-        let cfg = CompressionConfig {
-            refactor_steps: 2,
-            top_candidates: 300,
-            max_inventions: 2,
-            ..CompressionConfig::default()
-        };
-        let result = compress(&lib, &frontiers, &cfg);
-        assert!(
-            !result.steps.is_empty(),
-            "expected a shared recursion skeleton to be invented"
-        );
-        // The invention must be a higher-order routine (contains fix and a
-        // function parameter) — the map skeleton.
-        let body = result.steps[0].invention.body.to_string();
-        assert!(body.contains("fix"), "invention {body} should wrap fix");
-        // Rewritten programs must shrink.
-        for (f, orig) in result.frontiers.iter().zip([double_all, decrement_all]) {
-            let original = Expr::parse(orig, &prims).unwrap();
-            assert!(
-                f.entries[0].expr.size() < original.size(),
-                "{} is not smaller than {}",
-                f.entries[0].expr,
-                original
-            );
-        }
-    }
 }

@@ -1,6 +1,6 @@
 //! Plain-text reporting helpers: learning-curve sparklines, aligned
-//! tables for run summaries (used by the figure benchmarks and the CLI),
-//! and per-task search-forensics rendering.
+//! tables (run comparisons here; `dc-bench`'s claims tests print their
+//! measurements with [`table`]), and per-task search-forensics rendering.
 
 use crate::run::RunSummary;
 use crate::wake::SearchTrace;

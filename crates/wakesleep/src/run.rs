@@ -8,10 +8,10 @@ use std::sync::Arc;
 use dc_grammar::enumeration::EnumerationConfig;
 use dc_grammar::frontier::Frontier;
 use dc_grammar::grammar::Grammar;
-use dc_grammar::inside_outside::fit_grammar;
 use dc_recognition::RecognitionModel;
 use dc_tasks::domain::Domain;
 use dc_tasks::task::Task;
+use dc_vspace::joint_score;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -439,28 +439,19 @@ impl<'d> DreamCoder<'d> {
                     new_inventions = self.abstraction_cycle();
                 } else if !self.frontiers.is_empty() {
                     // Still re-fit θ to the discovered programs (wake maximizes
-                    // ℒ w.r.t. beams; θ update is free). Float summation order
-                    // inside the fit depends on frontier order, so sort by
-                    // task index rather than taking HashMap order.
+                    // ℒ w.r.t. beams; θ update is free), and rescore the stored
+                    // beams so beam ordering, dream-sleep replay targets and
+                    // checkpoints all agree with the refit grammar. Float
+                    // summation order inside the fit depends on frontier order,
+                    // so sort by task index rather than taking HashMap order.
                     let mut keys: Vec<usize> = self.frontiers.keys().copied().collect();
                     keys.sort_unstable();
-                    let fronts: Vec<Frontier> =
+                    let mut fronts: Vec<Frontier> =
                         keys.iter().map(|k| self.frontiers[k].clone()).collect();
-                    self.grammar = fit_grammar(
-                        &self.grammar.library,
-                        &fronts,
-                        self.config.compression.pseudocounts,
-                    );
-                    // The stored beams still carry priors from the *previous*
-                    // θ; rescore them so beam ordering, dream-sleep replay
-                    // targets, and checkpoints all agree with the refit
-                    // grammar (the compression path does this via
-                    // abstraction_sleep's rewrite).
-                    let grammar = &self.grammar;
-                    for frontier in self.frontiers.values_mut() {
-                        let request = frontier.request.clone();
-                        frontier.rescore(|e| grammar.log_prior(&request, e));
-                    }
+                    let (grammar, _) =
+                        joint_score(&self.grammar.library, &mut fronts, &self.config.compression);
+                    self.grammar = grammar;
+                    self.frontiers.extend(keys.into_iter().zip(fronts));
                 }
             }
             if self.config.condition.uses_recognition() {

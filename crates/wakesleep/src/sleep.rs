@@ -7,7 +7,6 @@ use std::time::Duration;
 use dc_grammar::enumeration::EnumerationConfig;
 use dc_grammar::frontier::Frontier;
 use dc_grammar::grammar::Grammar;
-use dc_grammar::inside_outside::fit_grammar;
 use dc_grammar::library::Library;
 use dc_grammar::sample::sample_program_with_retries;
 use dc_lambda::expr::{Expr, Invented};
@@ -15,7 +14,7 @@ use dc_lambda::types::Type;
 use dc_recognition::{fantasy_example, replay_example, RecognitionModel, TrainingExample};
 use dc_tasks::domain::Domain;
 use dc_tasks::task::Task;
-use dc_vspace::{compress, CompressionConfig, CompressionResult};
+use dc_vspace::{compress, joint_score, CompressionConfig, CompressionResult};
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
@@ -104,11 +103,7 @@ fn memorize(
             }
         }
     }
-    let grammar = fit_grammar(&lib, &new_frontiers, config.pseudocounts);
-    for f in &mut new_frontiers {
-        let request = f.request.clone();
-        f.rescore(|e| grammar.log_prior(&request, e));
-    }
+    let (grammar, _) = joint_score(&lib, &mut new_frontiers, config);
     CompressionResult {
         library: lib,
         grammar,

@@ -59,8 +59,8 @@ fn main() {
         println!(
             "\nno tasks solved: the first fix-programs here are ~14 nodes deep,\n\
              which the paper reached with ~5 days x 64 CPUs of search. Run\n\
-             `cargo run --release -p dc-bench --bin fig11_origami` for the\n\
-             seeded reproduction of the fold-discovery result."
+             `cargo test --release -p dc-bench --test claims e12 -- --nocapture`\n\
+             for the seeded reproduction of the fold-discovery result."
         );
         return;
     }

@@ -1,5 +1,5 @@
 //! Plain-text reporting helpers: learning-curve sparklines, aligned
-//! tables (run comparisons here; `dc-bench`'s claims tests print their
+//! tables (run comparisons here; the paper-claims test prints its
 //! measurements with [`table`]), and per-task search-forensics rendering.
 
 use crate::run::RunSummary;

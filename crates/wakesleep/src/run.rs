@@ -2,7 +2,7 @@
 //! and dream sleep over a domain, under any of the experimental
 //! conditions of Fig 7, recording the metrics the paper plots.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dc_grammar::enumeration::EnumerationConfig;
@@ -79,7 +79,7 @@ pub struct DreamCoder<'d> {
     /// Current recognition model, if the condition uses one.
     pub recognition: Option<RecognitionModel>,
     /// Best frontiers per train-task index.
-    pub frontiers: HashMap<usize, Frontier>,
+    pub frontiers: BTreeMap<usize, Frontier>,
     rng: rand_chacha::ChaCha8Rng,
     inventions: Vec<String>,
     /// Metrics for cycles completed so far (preloaded on resume).
@@ -113,7 +113,7 @@ impl<'d> DreamCoder<'d> {
             config,
             grammar,
             recognition,
-            frontiers: HashMap::new(),
+            frontiers: BTreeMap::new(),
             rng,
             inventions: Vec::new(),
             stats: Vec::new(),
@@ -166,7 +166,7 @@ impl<'d> DreamCoder<'d> {
         let grammar =
             load_grammar(&ckpt.grammar, domain.primitives()).map_err(CheckpointError::Grammar)?;
         let train = domain.train_tasks();
-        let mut frontiers = HashMap::with_capacity(ckpt.frontiers.len());
+        let mut frontiers = BTreeMap::new();
         for tf in &ckpt.frontiers {
             let Some(task) = train.get(tf.task) else {
                 return Err(CheckpointError::Mismatch(format!(
@@ -226,8 +226,6 @@ impl<'d> DreamCoder<'d> {
     /// Snapshot the run's full mutable state after `cycles_completed`
     /// cycles (see DESIGN.md §8 for the format contract).
     pub fn checkpoint(&self, cycles_completed: usize) -> Checkpoint {
-        let mut keys: Vec<usize> = self.frontiers.keys().copied().collect();
-        keys.sort_unstable();
         Checkpoint {
             version: checkpoint::CHECKPOINT_VERSION,
             domain: self.domain.name().to_owned(),
@@ -235,11 +233,12 @@ impl<'d> DreamCoder<'d> {
             seed: self.config.seed,
             cycles_completed,
             grammar: save_grammar(&self.grammar),
-            frontiers: keys
-                .into_iter()
-                .map(|k| TaskFrontier {
-                    task: k,
-                    frontier: save_frontier(&self.frontiers[&k]),
+            frontiers: self
+                .frontiers
+                .iter()
+                .map(|(&task, f)| TaskFrontier {
+                    task,
+                    frontier: save_frontier(f),
                 })
                 .collect(),
             recognition: self.recognition.as_ref().map(RecognitionModel::to_saved),
@@ -299,12 +298,11 @@ impl<'d> DreamCoder<'d> {
         if self.frontiers.is_empty() {
             return Vec::new();
         }
-        let mut keys: Vec<usize> = self.frontiers.keys().copied().collect();
-        keys.sort_unstable();
-        let fronts: Vec<Frontier> = keys
-            .iter()
-            .map(|k| {
-                let mut f = self.frontiers[k].clone();
+        let fronts: Vec<Frontier> = self
+            .frontiers
+            .values()
+            .map(|f| {
+                let mut f = f.clone();
                 f.entries.truncate(self.config.compression_beam.max(1));
                 f
             })
@@ -315,8 +313,8 @@ impl<'d> DreamCoder<'d> {
             &self.config.compression,
             self.config.condition,
         );
-        for (k, f) in keys.into_iter().zip(result.frontiers) {
-            self.frontiers.insert(k, f);
+        for (slot, f) in self.frontiers.values_mut().zip(result.frontiers) {
+            *slot = f;
         }
         self.grammar = result.grammar;
         let new: Vec<String> = result
@@ -345,14 +343,11 @@ impl<'d> DreamCoder<'d> {
         let train = self.domain.train_tasks();
         // NeuralOnly (RobustFill-style) trains on samples from the *initial*
         // library: its grammar never changes, so this is the same call.
-        //
-        // Replay order feeds SGD directly, so it must not depend on
-        // HashMap iteration order: sort by task index.
-        let mut keys: Vec<usize> = self.frontiers.keys().copied().collect();
-        keys.sort_unstable();
-        let solved: Vec<(&Task, &Frontier)> = keys
+        // Replay order feeds SGD directly; the store iterates by task index.
+        let solved: Vec<(&Task, &Frontier)> = self
+            .frontiers
             .iter()
-            .map(|&i| (&train[i], &self.frontiers[&i]))
+            .map(|(&i, f)| (&train[i], f))
             .collect();
         Some(dream_sleep(
             model,
@@ -442,16 +437,15 @@ impl<'d> DreamCoder<'d> {
                     // ℒ w.r.t. beams; θ update is free), and rescore the stored
                     // beams so beam ordering, dream-sleep replay targets and
                     // checkpoints all agree with the refit grammar. Float
-                    // summation order inside the fit depends on frontier order,
-                    // so sort by task index rather than taking HashMap order.
-                    let mut keys: Vec<usize> = self.frontiers.keys().copied().collect();
-                    keys.sort_unstable();
-                    let mut fronts: Vec<Frontier> =
-                        keys.iter().map(|k| self.frontiers[k].clone()).collect();
+                    // summation order inside the fit follows frontier order,
+                    // which is task-index order.
+                    let mut fronts: Vec<Frontier> = self.frontiers.values().cloned().collect();
                     let (grammar, _) =
                         joint_score(&self.grammar.library, &mut fronts, &self.config.compression);
                     self.grammar = grammar;
-                    self.frontiers.extend(keys.into_iter().zip(fronts));
+                    for (slot, f) in self.frontiers.values_mut().zip(fronts) {
+                        *slot = f;
+                    }
                 }
             }
             if self.config.condition.uses_recognition() {

@@ -74,7 +74,7 @@ fn main() {
                 println!("{}", ascii(&rasterize(&state.segments)));
             }
             None => println!(
-                "{name:?} not found within {}s (polygons need minutes; see fig8_logo)",
+                "{name:?} not found within {}s (polygons need minutes of search)",
                 8
             ),
         }

@@ -59,16 +59,14 @@ fn main() {
         println!(
             "\nno tasks solved: the first fix-programs here are ~14 nodes deep,\n\
              which the paper reached with ~5 days x 64 CPUs of search. Run\n\
-             `cargo test --release -p dc-bench --test claims e12 -- --nocapture`\n\
+             `cargo test --release --test claims e12 -- --nocapture`\n\
              for the seeded reproduction of the fold-discovery result."
         );
         return;
     }
     println!("\nsolutions in terms of the learned library:");
-    let mut idxs: Vec<&usize> = dc.frontiers.keys().collect();
-    idxs.sort();
-    for idx in idxs.into_iter().take(8) {
-        if let Some(best) = dc.frontiers[idx].best() {
+    for (idx, frontier) in dc.frontiers.iter().take(8) {
+        if let Some(best) = frontier.best() {
             println!("  {:<28} {}", domain.train_tasks()[*idx].name, best.expr);
         }
     }

@@ -29,7 +29,8 @@ fn main() {
     };
 
     // Demo on the lighter concepts; the long ones (phone numbers) need
-    // minutes of search — see the fig10_regex bench.
+    // minutes of search. The seeded E10 row of `tests/claims.rs` compares
+    // conditions on held-out concepts.
     let wanted = ["integer list entry", "lowercase word", "price"];
     let tasks: Vec<_> = wanted
         .iter()

@@ -30,7 +30,10 @@ pub const MAX_DEPTH: usize = 16;
 pub struct EnumerationConfig {
     /// Give up beyond this description length.
     pub max_budget: f64,
-    /// Wall-clock timeout for the whole run.
+    /// Wall-clock timeout for the whole run. It stays only because
+    /// `dcbench/` names it: every other caller bounds a search by
+    /// `max_budget` alone, so its results do not depend on the clock, and
+    /// only this module's `timeout_is_respected` test sets it.
     pub timeout: Option<Duration>,
 }
 
@@ -142,7 +145,8 @@ pub fn enumerate_programs_stats(
 /// `Instant::now()` costs more than the expansion itself deep in the tree.
 const DEADLINE_CHECK_INTERVAL: u32 = 1024;
 
-/// Amortized deadline checks, plus the window's typed-out tally. Once
+/// Amortized deadline checks, plus the window's typed-out tally. The
+/// deadline half serves [`EnumerationConfig::timeout`] alone. Once
 /// expired, stays expired (the clock is never consulted again), so an
 /// exhausted run unwinds quickly. Interior mutability lets the recursion
 /// and its continuation closures share one ticker by plain `&` reference.

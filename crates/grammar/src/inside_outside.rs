@@ -5,26 +5,8 @@
 use std::sync::Arc;
 
 use crate::frontier::Frontier;
-use crate::grammar::{generation_trace, ContextualGrammar, Grammar, ProgramPrior};
-use crate::library::{BigramParent, Library};
-
-/// Pseudo-count used for Dirichlet smoothing.
-pub const DEFAULT_PSEUDOCOUNT: f64 = 1.0;
-
-#[derive(Debug, Clone, Default)]
-struct Counts {
-    variable: f64,
-    productions: Vec<f64>,
-}
-
-impl Counts {
-    fn new(n: usize) -> Counts {
-        Counts {
-            variable: 0.0,
-            productions: vec![0.0; n],
-        }
-    }
-}
+use crate::grammar::{generation_trace, Grammar, ProgramPrior};
+use crate::library::Library;
 
 /// Fit unigram weights to the posterior-weighted programs in `frontiers`.
 ///
@@ -34,54 +16,18 @@ impl Counts {
 /// generation time, so unnormalized log-counts suffice).
 pub fn fit_grammar(library: &Arc<Library>, frontiers: &[Frontier], pseudocount: f64) -> Grammar {
     let scorer = Grammar::uniform(Arc::clone(library));
-    let mut counts = Counts::new(library.len());
-    accumulate(&scorer, frontiers, |_, _, chosen, w| match chosen {
-        None => counts.variable += w,
-        Some(j) => counts.productions[j] += w,
+    let mut variable = 0.0;
+    let mut productions = vec![0.0; library.len()];
+    accumulate(&scorer, frontiers, |chosen, w| match chosen {
+        None => variable += w,
+        Some(j) => productions[j] += w,
     });
     let mut g = Grammar::uniform(Arc::clone(library));
-    g.weights.log_variable = (pseudocount + counts.variable).ln();
-    for (w, c) in g
-        .weights
-        .log_productions
-        .iter_mut()
-        .zip(&counts.productions)
-    {
+    g.weights.log_variable = (pseudocount + variable).ln();
+    for (w, c) in g.weights.log_productions.iter_mut().zip(&productions) {
         *w = (pseudocount + c).ln();
     }
     g
-}
-
-/// Fit a full bigram table to frontiers (used to initialize the recognition
-/// model's target distribution and for the bigram-baseline ablation).
-pub fn fit_contextual_grammar(
-    library: &Arc<Library>,
-    frontiers: &[Frontier],
-    pseudocount: f64,
-) -> ContextualGrammar {
-    let scorer = Grammar::uniform(Arc::clone(library));
-    let mut cg = ContextualGrammar::uniform(Arc::clone(library));
-    let rows = BigramParent::row_count(library.len());
-    let mut counts = vec![Counts::new(library.len()); rows * cg.max_arity];
-    {
-        let max_arity = cg.max_arity;
-        let lib_len = library.len();
-        accumulate(&scorer, frontiers, |parent, arg, chosen, w| {
-            let slot = parent.row(lib_len) * max_arity + arg.min(max_arity - 1);
-            match chosen {
-                None => counts[slot].variable += w,
-                Some(j) => counts[slot].productions[j] += w,
-            }
-        });
-    }
-    for (slot, c) in counts.iter().enumerate() {
-        let wv = &mut cg.table[slot];
-        wv.log_variable = (pseudocount + c.variable).ln();
-        for (w, cj) in wv.log_productions.iter_mut().zip(&c.productions) {
-            *w = (pseudocount + cj).ln();
-        }
-    }
-    cg
 }
 
 /// Walk every frontier program, reporting each generation event together
@@ -89,7 +35,7 @@ pub fn fit_contextual_grammar(
 fn accumulate(
     scorer: &dyn ProgramPrior,
     frontiers: &[Frontier],
-    mut record: impl FnMut(BigramParent, usize, Option<usize>, f64),
+    mut record: impl FnMut(Option<usize>, f64),
 ) {
     for frontier in frontiers {
         if frontier.is_empty() {
@@ -99,7 +45,7 @@ fn accumulate(
         for (entry, w) in frontier.entries.iter().zip(weights) {
             if let Some((_, events)) = generation_trace(scorer, &frontier.request, &entry.expr) {
                 for ev in events {
-                    record(ev.parent, ev.arg, ev.chosen, w);
+                    record(ev.chosen, w);
                 }
             }
         }
@@ -137,34 +83,6 @@ mod tests {
         let plus = lib.position(&Expr::parse("+", &prims).unwrap()).unwrap();
         let cons = lib.position(&Expr::parse("cons", &prims).unwrap()).unwrap();
         assert!(g1.weights.log_productions[plus] > g1.weights.log_productions[cons]);
-    }
-
-    #[test]
-    fn contextual_fit_learns_bigram_statistics() {
-        let prims = base_primitives();
-        let lib = Arc::new(Library::from_primitives(prims.iter().cloned()));
-        let t = tint();
-        // Corpus: always (+ 1 0), never anything else.
-        let prog = Expr::parse("(+ 1 0)", &prims).unwrap();
-        let g0 = Grammar::uniform(Arc::clone(&lib));
-        let mut f = Frontier::new(t.clone());
-        f.insert(
-            FrontierEntry {
-                log_prior: g0.log_prior(&t, &prog),
-                log_likelihood: 0.0,
-                expr: prog.clone(),
-            },
-            5,
-        );
-        let cg = fit_contextual_grammar(&lib, &[f], 0.1);
-        let plus = lib.position(&Expr::parse("+", &prims).unwrap()).unwrap();
-        let one = lib.position(&Expr::parse("1", &prims).unwrap()).unwrap();
-        let zero = lib.position(&Expr::parse("0", &prims).unwrap()).unwrap();
-        // First argument of + was always 1, second always 0.
-        let w0 = cg.weights(BigramParent::Prod(plus), 0);
-        assert!(w0.log_productions[one] > w0.log_productions[zero]);
-        let w1 = cg.weights(BigramParent::Prod(plus), 1);
-        assert!(w1.log_productions[zero] > w1.log_productions[one]);
     }
 
     #[test]

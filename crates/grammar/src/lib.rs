@@ -44,7 +44,7 @@ pub use frontier::{Frontier, FrontierEntry};
 pub use grammar::{
     generation_trace, log_prior, ContextualGrammar, GenEvent, Grammar, ProgramPrior,
 };
-pub use inside_outside::{fit_contextual_grammar, fit_grammar, DEFAULT_PSEUDOCOUNT};
+pub use inside_outside::fit_grammar;
 pub use library::{logsumexp, BigramParent, Library, LibraryItem, WeightVector};
 pub use persist::{
     load_frontier, load_grammar, save_frontier, save_grammar, LoadError, SavedFrontier,

@@ -149,11 +149,6 @@ impl Value {
         }
     }
 
-    /// Is this value a function (closure or unsaturated primitive)?
-    pub fn is_function(&self) -> bool {
-        matches!(self, Value::Closure { .. } | Value::Partial { .. })
-    }
-
     /// A short tag naming the runtime kind of this value (for diagnostics).
     pub fn kind(&self) -> &'static str {
         match self {

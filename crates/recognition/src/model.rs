@@ -64,6 +64,18 @@ pub struct RecognitionModel {
     prior_bias: Option<crate::WeightVectorBias>,
 }
 
+/// The argument slots per parent and the output width of a head with
+/// `parameterization` over `library`.
+fn head_shape(parameterization: Parameterization, library: &Library) -> (usize, usize) {
+    let n = library.len();
+    let max_arity = library.max_arity().max(1);
+    let out_dim = match parameterization {
+        Parameterization::Unigram => n + 1,
+        Parameterization::Bigram => BigramParent::row_count(n) * max_arity * (n + 1),
+    };
+    (max_arity, out_dim)
+}
+
 impl RecognitionModel {
     /// Build a model for `library` over `feature_dim`-dimensional task
     /// features with one tanh hidden layer of `hidden_dim` units.
@@ -76,12 +88,7 @@ impl RecognitionModel {
         learning_rate: f64,
         rng: &mut R,
     ) -> RecognitionModel {
-        let n = library.len();
-        let max_arity = library.max_arity().max(1);
-        let out_dim = match parameterization {
-            Parameterization::Unigram => n + 1,
-            Parameterization::Bigram => BigramParent::row_count(n) * max_arity * (n + 1),
-        };
+        let (max_arity, out_dim) = head_shape(parameterization, &library);
         let mlp = Mlp::new(&[feature_dim, hidden_dim, out_dim], learning_rate, rng);
         RecognitionModel {
             library,
@@ -126,12 +133,7 @@ impl RecognitionModel {
         learning_rate: f64,
         rng: &mut R,
     ) -> RecognitionModel {
-        let n = library.len();
-        let max_arity = library.max_arity().max(1);
-        let out_dim = match self.parameterization {
-            Parameterization::Unigram => n + 1,
-            Parameterization::Bigram => BigramParent::row_count(n) * max_arity * (n + 1),
-        };
+        let (max_arity, out_dim) = head_shape(self.parameterization, &library);
         RecognitionModel {
             library,
             parameterization: self.parameterization,
@@ -169,17 +171,13 @@ impl RecognitionModel {
     ) -> Result<RecognitionModel, crate::persist::ModelLoadError> {
         use crate::persist::ModelLoadError;
         let n = library.len();
-        let library_arity = library.max_arity().max(1);
+        let (library_arity, expected) = head_shape(saved.parameterization, &library);
         if saved.max_arity != library_arity {
             return Err(ModelLoadError::ArityMismatch {
                 saved: saved.max_arity,
                 library: library_arity,
             });
         }
-        let expected = match saved.parameterization {
-            Parameterization::Unigram => n + 1,
-            Parameterization::Bigram => BigramParent::row_count(n) * saved.max_arity * (n + 1),
-        };
         if saved.mlp.output_dim() != expected {
             return Err(ModelLoadError::HeadMismatch {
                 saved: saved.mlp.output_dim(),

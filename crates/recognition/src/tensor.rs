@@ -43,11 +43,6 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Mutable element access.
-    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut f64 {
-        &mut self.data[r * self.cols + c]
-    }
-
     /// `y = W x` for a vector `x` of length `cols`.
     ///
     /// # Panics

@@ -65,8 +65,7 @@ pub use shutdown::{
 pub use spans::{
     chrome_trace_json, current_span, disable_trace_collection, enable_trace_collection,
     export_chrome_trace, reset_spans, span, span_shape, span_tree, span_under,
-    span_under_with_fields, span_with_fields, trace_collection_enabled, SpanGuard, SpanHandle,
-    SpanSnapshot,
+    span_under_with_fields, trace_collection_enabled, SpanGuard, SpanHandle, SpanSnapshot,
 };
 
 /// Process-wide on/off switch. Off by default.

@@ -255,24 +255,9 @@ pub fn span_under(parent: SpanHandle, name: &'static str) -> SpanGuard {
     open(parent.0, name, Vec::new())
 }
 
-/// [`span`] with trace-event fields. Fields only ever reach the Chrome
-/// trace `args`, never the aggregation key, and are not even materialized
-/// unless trace collection is on — use the [`crate::span!`] macro.
-#[inline]
-pub fn span_with_fields(name: &'static str, fields: &[(&'static str, FieldValue)]) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard { active: None };
-    }
-    let parent = STACK.with(|s| s.borrow().last().map_or(0, |(_, n)| n.id));
-    let fields = if trace_collection_enabled() {
-        fields.to_vec()
-    } else {
-        Vec::new()
-    };
-    open(parent, name, fields)
-}
-
-/// [`span_under`] with trace-event fields (see [`span_with_fields`]).
+/// [`span_under`] with trace-event fields. Fields only ever reach the
+/// Chrome trace `args`, never the aggregation key, and are not even
+/// materialized unless trace collection is on.
 #[inline]
 pub fn span_under_with_fields(
     parent: SpanHandle,
@@ -288,21 +273,6 @@ pub fn span_under_with_fields(
         Vec::new()
     };
     open(parent.0, name, fields)
-}
-
-/// Open a span, optionally with trace-event fields:
-/// `span!("wake.search")` or `span!("wake.search", task = idx)`.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-    ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        $crate::span_with_fields(
-            $name,
-            &[$((stringify!($key), $crate::FieldValue::from($value))),+],
-        )
-    };
 }
 
 // ---------------------------------------------------------------------------
@@ -627,7 +597,8 @@ mod tests {
         reset_spans();
         enable_trace_collection();
         {
-            let _s = span!("test.traced", task = 7u64);
+            let _s =
+                span_under_with_fields(current_span(), "test.traced", &[("task", 7u64.into())]);
         }
         disable_trace_collection();
         let json = chrome_trace_json();

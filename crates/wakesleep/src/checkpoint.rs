@@ -23,7 +23,9 @@ use crate::run::CycleStats;
 /// than misinterpreting fields.
 ///
 /// v2: `CycleStats` gained per-task `search_traces` forensics.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// v3: the wall-clock solve times, per cycle and per trace, gave way to
+/// each trace's `programs_to_first_hit` and `first_hit_nats`.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Serialized ChaCha8 generator state (see `rand_chacha::ChaCha8State`).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]

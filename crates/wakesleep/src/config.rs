@@ -103,10 +103,9 @@ pub struct RecognitionConfig {
     /// itself (classic wake-sleep), enumerate briefly on each dreamed task
     /// and train on the maximum-a-posteriori program that solves it.
     pub map_fantasies: bool,
-    /// Optional nats budget for the MAP-fantasy enumeration. When set, the
-    /// per-dream search is bounded by description length instead of wall
-    /// clock, so MAP fantasies stay deterministic (DESIGN.md §8); when
-    /// unset, each dream searches for a fixed 100 ms.
+    /// Nats budget of each dream's MAP-fantasy search; `None` means
+    /// [`crate::sleep::MAP_FANTASY_NATS`]. It is an `Option` only because
+    /// `dcbench/` sets it as one.
     pub map_fantasy_budget: Option<f64>,
 }
 
@@ -135,9 +134,9 @@ pub struct DreamCoderConfig {
     pub compression_beam: usize,
     /// Tasks per wake minibatch (the paper's random minibatching; §2.4).
     pub minibatch: usize,
-    /// Enumeration budget during waking.
+    /// Enumeration budget during waking, in nats.
     pub enumeration: EnumerationConfig,
-    /// Enumeration budget when evaluating held-out tasks.
+    /// Enumeration budget when evaluating held-out tasks, in nats.
     pub test_enumeration: EnumerationConfig,
     /// Abstraction-sleep hyperparameters.
     pub compression: CompressionConfig,
@@ -151,11 +150,9 @@ pub struct DreamCoderConfig {
     /// How many most-recent checkpoints to retain (older ones are pruned
     /// after each write; a value of 0 still keeps the newest).
     pub checkpoint_keep: usize,
-    /// Report solve-time metrics as zero instead of wall-clock seconds.
-    /// Wall clock is the only nondeterministic input to a seeded run, so
-    /// with this set (and enumeration bounded by nats budget rather than
-    /// timeout) the `RunSummary` is byte-reproducible — the determinism
-    /// contract of DESIGN.md §8.
+    /// Has no effect: no result carries wall-clock time, so every seeded
+    /// run is byte-reproducible (DESIGN.md §8). The field stays only
+    /// because `dcbench/` sets it.
     pub deterministic_timing: bool,
 }
 
@@ -167,11 +164,11 @@ impl Default for DreamCoderConfig {
             compression_beam: 5,
             minibatch: 20,
             enumeration: EnumerationConfig {
-                timeout: Some(std::time::Duration::from_millis(500)),
+                max_budget: 13.5,
                 ..EnumerationConfig::default()
             },
             test_enumeration: EnumerationConfig {
-                timeout: Some(std::time::Duration::from_millis(500)),
+                max_budget: 12.0,
                 ..EnumerationConfig::default()
             },
             compression: CompressionConfig::default(),
@@ -200,6 +197,17 @@ mod tests {
         assert!(!Condition::EnumerationOnly.uses_compression());
         assert!(!Condition::NeuralOnly.uses_compression());
         assert!(Condition::NeuralOnly.uses_recognition());
+    }
+
+    #[test]
+    fn the_default_budgets_are_nats_alone() {
+        let config = DreamCoderConfig::default();
+        for search in [&config.enumeration, &config.test_enumeration] {
+            assert_eq!(search.timeout, None);
+        }
+        assert_eq!(config.enumeration.max_budget, 13.5);
+        assert_eq!(config.test_enumeration.max_budget, 12.0);
+        assert_eq!(config.recognition.map_fantasy_budget, None);
     }
 
     #[test]

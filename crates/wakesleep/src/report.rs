@@ -156,8 +156,6 @@ mod tests {
                     test_solved: a,
                     library_size: 10,
                     library_depth: 0,
-                    mean_solve_time: 0.0,
-                    median_solve_time: 0.0,
                     new_inventions: vec![],
                     search_traces: vec![],
                 })
@@ -200,7 +198,8 @@ mod tests {
                 typed_out: 44,
                 best_log_posterior: Some(-3.25),
                 hit_depth: Some(3),
-                solve_time: Some(0.1),
+                programs_to_first_hit: Some(17),
+                first_hit_nats: Some(6.8),
             },
             SearchTrace {
                 task: "impossible".into(),
@@ -211,7 +210,8 @@ mod tests {
                 typed_out: 310,
                 best_log_posterior: None,
                 hit_depth: None,
-                solve_time: None,
+                programs_to_first_hit: None,
+                first_hit_nats: None,
             },
         ];
         let t = forensics_table(&traces);

@@ -43,10 +43,6 @@ pub struct CycleStats {
     pub library_size: usize,
     /// Library depth (layers of inventions-calling-inventions).
     pub library_depth: usize,
-    /// Mean seconds-to-solve over solved test tasks.
-    pub mean_solve_time: f64,
-    /// Median seconds-to-solve over solved test tasks.
-    pub median_solve_time: f64,
     /// Inventions added this cycle.
     pub new_inventions: Vec<String>,
     /// Per-task search forensics for this cycle's wake minibatch.
@@ -359,11 +355,10 @@ impl<'d> DreamCoder<'d> {
         ))
     }
 
-    /// Evaluate on held-out test tasks; returns (fraction solved, solve
-    /// times of solved tasks).
-    pub fn evaluate(&self, tasks: &[Task], config: &EnumerationConfig) -> (f64, Vec<f64>) {
+    /// Evaluate on held-out test tasks; returns the fraction solved.
+    pub fn evaluate(&self, tasks: &[Task], config: &EnumerationConfig) -> f64 {
         if tasks.is_empty() {
-            return (0.0, Vec::new());
+            return 0.0;
         }
         use rayon::prelude::*;
         // As in `wake`: worker span stacks start empty, so hand the
@@ -377,15 +372,8 @@ impl<'d> DreamCoder<'d> {
                 search_task_guarded(task, &guide, &self.grammar, BEAM_SIZE, config)
             })
             .collect();
-        // Wall clock is the only nondeterministic input to a seeded run;
-        // under `deterministic_timing` the solve-time metrics report zero.
-        let times: Vec<f64> = if self.config.deterministic_timing {
-            Vec::new()
-        } else {
-            results.iter().filter_map(|r| r.trace.solve_time).collect()
-        };
         let solved = results.iter().filter(|r| !r.frontier.is_empty()).count();
-        (solved as f64 / tasks.len() as f64, times)
+        solved as f64 / tasks.len() as f64
     }
 
     /// Run the full wake/sleep loop, returning per-cycle metrics. After a
@@ -413,18 +401,7 @@ impl<'d> DreamCoder<'d> {
                 dc_telemetry::set_status("phase", "wake");
                 let _wake = dc_telemetry::span("cycle.wake");
                 let results = self.wake_cycle();
-                search_traces = results
-                    .iter()
-                    .map(|(_, r)| {
-                        let mut trace = r.trace.clone();
-                        if self.config.deterministic_timing {
-                            // Same scrub as the solve-time metrics:
-                            // wall clock must not reach the summary.
-                            trace.solve_time = None;
-                        }
-                        trace
-                    })
-                    .collect();
+                search_traces = results.iter().map(|(_, r)| r.trace.clone()).collect();
             }
             let mut new_inventions = Vec::new();
             {
@@ -461,15 +438,9 @@ impl<'d> DreamCoder<'d> {
             }
             dc_telemetry::set_status("phase", "eval");
             let eval_timer = dc_telemetry::span("cycle.eval");
-            let (test_solved, times) =
+            let test_solved =
                 self.evaluate(self.domain.test_tasks(), &self.config.test_enumeration);
             drop(eval_timer);
-            let mean = if times.is_empty() {
-                0.0
-            } else {
-                times.iter().sum::<f64>() / times.len() as f64
-            };
-            let median = median(&times);
             dc_telemetry::incr("cycle.count");
             dc_telemetry::set_gauge("library.size", self.grammar.library.len() as f64);
             dc_telemetry::set_gauge("library.depth", self.grammar.library.depth() as f64);
@@ -501,8 +472,6 @@ impl<'d> DreamCoder<'d> {
                 test_solved,
                 library_size: self.grammar.library.len(),
                 library_depth: self.grammar.library.depth(),
-                mean_solve_time: mean,
-                median_solve_time: median,
                 new_inventions,
                 search_traces,
             });
@@ -549,26 +518,11 @@ impl<'d> DreamCoder<'d> {
     }
 }
 
-fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len().is_multiple_of(2) {
-        0.5 * (v[mid - 1] + v[mid])
-    } else {
-        v[mid]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Condition;
     use dc_tasks::domains::list::ListDomain;
-    use std::time::Duration;
 
     fn quick_config(condition: Condition) -> DreamCoderConfig {
         DreamCoderConfig {
@@ -576,11 +530,11 @@ mod tests {
             cycles: 2,
             minibatch: 6,
             enumeration: EnumerationConfig {
-                timeout: Some(Duration::from_millis(300)),
+                max_budget: 10.5,
                 ..EnumerationConfig::default()
             },
             test_enumeration: EnumerationConfig {
-                timeout: Some(Duration::from_millis(150)),
+                max_budget: 10.5,
                 ..EnumerationConfig::default()
             },
             compression: dc_vspace::CompressionConfig {
@@ -681,20 +635,19 @@ mod tests {
         }
     }
 
-    /// Enumeration bounded by nats budget instead of wall clock, timing
-    /// metrics zeroed: nothing nondeterministic feeds the summary.
+    /// Small nats budgets and few fantasies, for a quick seeded run.
     fn deterministic_config(condition: Condition, cycles: usize, seed: u64) -> DreamCoderConfig {
         DreamCoderConfig {
             condition,
             cycles,
             minibatch: 5,
             enumeration: EnumerationConfig {
-                timeout: None,
                 max_budget: 8.0,
+                ..EnumerationConfig::default()
             },
             test_enumeration: EnumerationConfig {
-                timeout: None,
                 max_budget: 6.5,
+                ..EnumerationConfig::default()
             },
             compression: dc_vspace::CompressionConfig {
                 refactor_steps: 1,
@@ -709,7 +662,6 @@ mod tests {
                 ..crate::config::RecognitionConfig::default()
             },
             seed,
-            deterministic_timing: true,
             ..DreamCoderConfig::default()
         }
     }
@@ -745,13 +697,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn median_helper() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[3.0]), 3.0);
-        assert_eq!(median(&[1.0, 3.0]), 2.0);
-        assert_eq!(median(&[1.0, 2.0, 9.0]), 2.0);
     }
 }

@@ -2,7 +2,6 @@
 //! *dreaming* (train the recognition model on replays + fantasies, §4).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dc_grammar::enumeration::EnumerationConfig;
 use dc_grammar::frontier::Frontier;
@@ -24,8 +23,9 @@ use crate::wake::{panic_message, search_task, Guide};
 /// Max depth of sampled fantasy programs.
 const SAMPLE_DEPTH: usize = 10;
 
-/// Per-dream MAP-fantasy search time when no nats budget is set.
-const MAP_FANTASY_TIMEOUT: Duration = Duration::from_millis(100);
+/// Nats budget of each dream's MAP-fantasy search when the config sets
+/// none.
+pub const MAP_FANTASY_NATS: f64 = 6.5;
 
 /// Run abstraction sleep under the given experimental condition.
 ///
@@ -275,23 +275,16 @@ fn fantasy_attempt_guarded(
 /// Algorithm 3's inner step: enumerate in decreasing prior order and keep
 /// the program maximizing `P[x|rho] P[rho|D,theta]` for the dreamed task
 /// (a wake search with a beam of one).
-///
-/// With a `map_fantasy_budget` the search is bounded by description length
-/// (deterministic); otherwise by [`MAP_FANTASY_TIMEOUT`].
+/// The search is bounded by `map_fantasy_budget` nats, or
+/// [`MAP_FANTASY_NATS`] when that is unset.
 fn map_program_for(
     grammar: &Grammar,
     task: &Task,
     config: &crate::config::RecognitionConfig,
 ) -> Option<Expr> {
-    let cfg = match config.map_fantasy_budget {
-        Some(nats) => EnumerationConfig {
-            timeout: None,
-            max_budget: nats,
-        },
-        None => EnumerationConfig {
-            timeout: Some(MAP_FANTASY_TIMEOUT),
-            ..EnumerationConfig::default()
-        },
+    let cfg = EnumerationConfig {
+        max_budget: config.map_fantasy_budget.unwrap_or(MAP_FANTASY_NATS),
+        ..EnumerationConfig::default()
     };
     let guide = Guide::Generative(grammar.clone());
     let result = search_task(task, &guide, grammar, 1, &cfg);

@@ -4,8 +4,6 @@
 //! predicted bigram tensor. Tasks search in parallel (the paper's
 //! multi-CPU wake; see DESIGN.md).
 
-use std::time::Instant;
-
 use dc_grammar::enumeration::{enumerate_programs_stats, EnumerationConfig};
 use dc_grammar::frontier::{Frontier, FrontierEntry};
 use dc_grammar::grammar::{ContextualGrammar, Grammar, ProgramPrior};
@@ -38,7 +36,9 @@ pub enum SearchOutcome {
     Solved,
     /// The nats budget ran out with no hit.
     BudgetExhausted,
-    /// The wall-clock deadline fired with no hit.
+    /// The wall-clock deadline fired with no hit. Only a search given an
+    /// `EnumerationConfig::timeout` ends this way; that field stays while
+    /// `dcbench/` names it, and no caller outside `dcbench/` sets it.
     Timeout,
     /// The task's evaluator panicked; the search was abandoned.
     EvalPanic,
@@ -78,9 +78,12 @@ pub struct SearchTrace {
     pub best_log_posterior: Option<f64>,
     /// Syntactic depth of the best hit, if any.
     pub hit_depth: Option<usize>,
-    /// Seconds until the first hit, if any (`None` under
-    /// `deterministic_timing`, where wall-clock may not reach results).
-    pub solve_time: Option<f64>,
+    /// Programs enumerated up to and including the first hit, if any
+    /// (Appendix Fig 20, counted in programs instead of seconds).
+    pub programs_to_first_hit: Option<usize>,
+    /// The first hit's description length `-log` prior under the guide,
+    /// in nats, if any.
+    pub first_hit_nats: Option<f64>,
 }
 
 impl SearchTrace {
@@ -94,7 +97,8 @@ impl SearchTrace {
             typed_out: 0,
             best_log_posterior: None,
             hit_depth: None,
-            solve_time: None,
+            programs_to_first_hit: None,
+            first_hit_nats: None,
         }
     }
 }
@@ -104,8 +108,8 @@ impl SearchTrace {
 pub struct TaskSearchResult {
     /// The beam of solutions found (possibly empty).
     pub frontier: Frontier,
-    /// Search forensics for this task, including the seconds until the
-    /// first solution (Appendix Fig 20) and the programs enumerated.
+    /// Search forensics for this task, including the programs enumerated
+    /// before the first solution (Appendix Fig 20).
     pub trace: SearchTrace,
 }
 
@@ -120,16 +124,13 @@ pub fn search_task(
     config: &EnumerationConfig,
 ) -> TaskSearchResult {
     let mut frontier = Frontier::new(task.request.clone());
-    let mut solve_time = None;
-    let started = Instant::now();
+    let mut first_hit = None;
     let mut evaluated = 0usize;
-    let stats = enumerate_programs_stats(guide.prior(), &task.request, config, &mut |expr, _ll| {
+    let stats = enumerate_programs_stats(guide.prior(), &task.request, config, &mut |expr, ll| {
         evaluated += 1;
         let log_likelihood = task.oracle.log_likelihood(&expr);
         if log_likelihood.is_finite() {
-            if solve_time.is_none() {
-                solve_time = Some(started.elapsed().as_secs_f64());
-            }
+            first_hit.get_or_insert((evaluated, -ll));
             let log_prior = scorer.log_prior(&task.request, &expr);
             frontier.insert(
                 FrontierEntry {
@@ -159,7 +160,8 @@ pub fn search_task(
         typed_out: stats.typed_out,
         best_log_posterior: best.map(|e| e.log_posterior()),
         hit_depth: best.map(|e| e.expr.depth()),
-        solve_time,
+        programs_to_first_hit: first_hit.map(|(programs, _)| programs),
+        first_hit_nats: first_hit.map(|(_, nats)| nats),
     };
     TaskSearchResult { frontier, trace }
 }
@@ -244,7 +246,6 @@ mod tests {
     use dc_lambda::types::{tint, tlist, Type};
     use dc_tasks::task::{Example, Task};
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn setup() -> Grammar {
         let prims = base_primitives();
@@ -256,9 +257,9 @@ mod tests {
         Value::list(vals.iter().map(|&v| Value::Int(v)).collect())
     }
 
-    fn quick(timeout_ms: u64) -> EnumerationConfig {
+    fn nats(max_budget: f64) -> EnumerationConfig {
         EnumerationConfig {
-            timeout: Some(Duration::from_millis(timeout_ms)),
+            max_budget,
             ..EnumerationConfig::default()
         }
     }
@@ -281,11 +282,11 @@ mod tests {
             ],
             vec![],
         );
-        let result = search_task(&task, &Guide::Generative(g.clone()), &g, 5, &quick(2000));
+        let result = search_task(&task, &Guide::Generative(g.clone()), &g, 5, &nats(13.5));
         assert!(!result.frontier.is_empty(), "head should be found quickly");
         let best = result.frontier.best().unwrap();
         assert!(task.check(&best.expr));
-        assert!(result.trace.solve_time.is_some());
+        assert!(result.trace.programs_to_first_hit.is_some());
         assert!(result.trace.programs_enumerated > 0);
     }
 
@@ -302,7 +303,7 @@ mod tests {
             }],
             vec![],
         );
-        let result = search_task(&task, &Guide::Generative(g.clone()), &g, 3, &quick(1500));
+        let result = search_task(&task, &Guide::Generative(g.clone()), &g, 3, &nats(13.5));
         assert!(result.frontier.len() <= 3);
         let lp: Vec<f64> = result
             .frontier
@@ -333,9 +334,9 @@ mod tests {
             ],
             vec![],
         );
-        let result = search_task(&task, &Guide::Generative(g.clone()), &g, 5, &quick(300));
+        let result = search_task(&task, &Guide::Generative(g.clone()), &g, 5, &nats(10.5));
         assert!(result.frontier.is_empty());
-        assert!(result.trace.solve_time.is_none());
+        assert!(result.trace.programs_to_first_hit.is_none());
     }
 
     #[test]
@@ -372,7 +373,7 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         let tasks = [&healthy, &poisoned];
         let guides = vec![Guide::Generative(g.clone()), Guide::Generative(g.clone())];
-        let results = wake(&tasks, &guides, &g, 5, &quick(2000));
+        let results = wake(&tasks, &guides, &g, 5, &nats(13.5));
         std::panic::set_hook(prev_hook);
         assert_eq!(results.len(), 2);
         assert!(
@@ -380,7 +381,7 @@ mod tests {
             "healthy task must still be solved"
         );
         assert!(results[1].frontier.is_empty(), "poisoned task yields empty");
-        assert!(results[1].trace.solve_time.is_none());
+        assert!(results[1].trace.programs_to_first_hit.is_none());
     }
 
     #[test]
@@ -394,16 +395,55 @@ mod tests {
         let domain = ListDomain::new(0);
         let g = Grammar::uniform(domain.initial_library());
         let guide = Guide::Generative(g.clone());
-        let config = EnumerationConfig {
-            max_budget: 9.0,
-            timeout: None,
-        };
+        let config = nats(9.0);
         let mut solved = 0;
         for task in domain.train_tasks() {
             let result = search_task(task, &guide, &g, 5, &config);
             let bare = enumerate_programs_stats(&g, &task.request, &config, &mut |_, _| true);
             assert_eq!(result.trace.typed_out, bare.typed_out, "task {}", task.name);
             solved += usize::from(!result.frontier.is_empty());
+        }
+        assert!(solved > 0, "some list tasks are solved at 9 nats");
+    }
+
+    #[test]
+    fn the_first_hit_is_counted_in_programs_and_nats() {
+        // The first hit is the first program of the guide's stream whose
+        // likelihood is finite: its 1-based position, and its `-log`
+        // prior under the guide.
+        use dc_grammar::enumeration::enumerate_programs;
+        use dc_tasks::domain::Domain;
+        use dc_tasks::domains::list::ListDomain;
+
+        let domain = ListDomain::new(0);
+        let g = Grammar::uniform(domain.initial_library());
+        let guide = Guide::Generative(g.clone());
+        let config = nats(9.0);
+        let mut solved = 0;
+        for task in domain.train_tasks() {
+            let mut position = 0;
+            let mut first = None;
+            enumerate_programs(&g, &task.request, &config, &mut |expr, log_prior| {
+                position += 1;
+                if task.oracle.log_likelihood(&expr).is_finite() {
+                    first = Some((position, -log_prior));
+                }
+                first.is_none()
+            });
+            let trace = search_task(task, &guide, &g, 5, &config).trace;
+            assert_eq!(
+                trace.programs_to_first_hit,
+                first.map(|(n, _)| n),
+                "task {}",
+                task.name
+            );
+            assert_eq!(
+                trace.first_hit_nats,
+                first.map(|(_, nats)| nats),
+                "task {}",
+                task.name
+            );
+            solved += usize::from(first.is_some());
         }
         assert!(solved > 0, "some list tasks are solved at 9 nats");
     }
@@ -428,7 +468,7 @@ mod tests {
         );
         let tasks = [&task, &task];
         let guides = vec![Guide::Generative(g.clone()), Guide::Generative(g.clone())];
-        let results = wake(&tasks, &guides, &g, 5, &quick(2000));
+        let results = wake(&tasks, &guides, &g, 5, &nats(13.5));
         assert_eq!(results.len(), 2);
         for r in results {
             assert!(!r.frontier.is_empty());

@@ -12,20 +12,19 @@ use dc_wakesleep::{Condition, DreamCoder, DreamCoderConfig};
 use dc_tasks::domain::Domain;
 use dc_tasks::domains::list::ListDomain;
 
-/// Wall clock removed from the loop: enumeration bounded by nats budget,
-/// solve-time metrics zeroed.
+/// Small nats budgets and few fantasies, for a quick seeded run.
 fn deterministic_config(condition: Condition, cycles: usize, seed: u64) -> DreamCoderConfig {
     DreamCoderConfig {
         condition,
         cycles,
         minibatch: 5,
         enumeration: EnumerationConfig {
-            timeout: None,
             max_budget: 8.0,
+            ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
-            timeout: None,
             max_budget: 6.5,
+            ..EnumerationConfig::default()
         },
         compression: dc_vspace::CompressionConfig {
             refactor_steps: 1,
@@ -40,7 +39,6 @@ fn deterministic_config(condition: Condition, cycles: usize, seed: u64) -> Dream
             ..dc_wakesleep::RecognitionConfig::default()
         },
         seed,
-        deterministic_timing: true,
         ..DreamCoderConfig::default()
     }
 }

@@ -24,12 +24,12 @@ fn dream_config(cycles: usize, seed: u64) -> DreamCoderConfig {
         cycles,
         minibatch: 5,
         enumeration: EnumerationConfig {
-            timeout: None,
             max_budget: 8.0,
+            ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
-            timeout: None,
             max_budget: 6.5,
+            ..EnumerationConfig::default()
         },
         compression: dc_vspace::CompressionConfig {
             refactor_steps: 1,
@@ -45,7 +45,6 @@ fn dream_config(cycles: usize, seed: u64) -> DreamCoderConfig {
             map_fantasy_budget: Some(6.0),
         },
         seed,
-        deterministic_timing: true,
         ..DreamCoderConfig::default()
     }
 }

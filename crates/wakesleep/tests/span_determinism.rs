@@ -17,12 +17,12 @@ fn span_config(seed: u64) -> DreamCoderConfig {
         cycles: 2,
         minibatch: 5,
         enumeration: EnumerationConfig {
-            timeout: None,
             max_budget: 8.0,
+            ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
-            timeout: None,
             max_budget: 6.5,
+            ..EnumerationConfig::default()
         },
         compression: dc_vspace::CompressionConfig {
             refactor_steps: 1,
@@ -38,7 +38,6 @@ fn span_config(seed: u64) -> DreamCoderConfig {
             map_fantasy_budget: Some(6.0),
         },
         seed,
-        deterministic_timing: true,
         ..DreamCoderConfig::default()
     }
 }

@@ -7,8 +7,6 @@
 //! cargo run --release --example library_persistence
 //! ```
 
-use std::time::Duration;
-
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::grammar::{load_grammar, save_grammar};
 use dreamcoder::lambda::pretty;
@@ -23,11 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cycles: 2,
         minibatch: 12,
         enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(600)),
+            max_budget: 13.5,
             ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(200)),
+            max_budget: 12.0,
             ..EnumerationConfig::default()
         },
         seed: 0,
@@ -68,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &grammar,
         5,
         &EnumerationConfig {
-            timeout: Some(Duration::from_secs(3)),
+            max_budget: 15.0,
             ..EnumerationConfig::default()
         },
     );

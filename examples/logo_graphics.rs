@@ -6,13 +6,11 @@
 //! cargo run --release --example logo_graphics
 //! ```
 
-use std::collections::BTreeSet;
-use std::time::Duration;
-
 use dreamcoder::grammar::enumeration::{enumerate_programs, EnumerationConfig};
 use dreamcoder::grammar::Grammar;
 use dreamcoder::tasks::domains::logo::{rasterize, run_logo_program, LogoDomain, CANVAS};
 use dreamcoder::tasks::Domain;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn ascii(pixels: &BTreeSet<(u8, u8)>) -> String {
@@ -48,7 +46,7 @@ fn main() {
     // Solve image tasks by searching program space, easiest first.
     let grammar = Grammar::uniform(Arc::clone(&domain.initial_library()));
     let config = EnumerationConfig {
-        timeout: Some(Duration::from_secs(8)),
+        max_budget: 15.0,
         ..EnumerationConfig::default()
     };
     for name in ["line", "right angle", "triangle"] {
@@ -74,8 +72,8 @@ fn main() {
                 println!("{}", ascii(&rasterize(&state.segments)));
             }
             None => println!(
-                "{name:?} not found within {}s (polygons need minutes of search)",
-                8
+                "{name:?} not found within {} nats (polygons need deeper search)",
+                config.max_budget
             ),
         }
     }

@@ -6,8 +6,6 @@
 //! cargo run --release --example origami
 //! ```
 
-use std::time::Duration;
-
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::tasks::domains::origami::OrigamiDomain;
 use dreamcoder::tasks::Domain;
@@ -25,11 +23,7 @@ fn main() {
         cycles: 4,
         minibatch: 20,
         enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(1500)),
-            ..EnumerationConfig::default()
-        },
-        test_enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(200)),
+            max_budget: 13.5,
             ..EnumerationConfig::default()
         },
         compression: dreamcoder::vspace::CompressionConfig {

@@ -6,8 +6,6 @@
 //! cargo run --release --example physics_discovery
 //! ```
 
-use std::time::Duration;
-
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::tasks::domains::physics::PhysicsDomain;
 use dreamcoder::tasks::Domain;
@@ -25,11 +23,7 @@ fn main() {
         cycles: 3,
         minibatch: 20,
         enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(800)),
-            ..EnumerationConfig::default()
-        },
-        test_enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(300)),
+            max_budget: 15.0,
             ..EnumerationConfig::default()
         },
         compression: dreamcoder::vspace::CompressionConfig {

@@ -5,8 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use std::time::Duration;
-
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::tasks::domains::list::ListDomain;
 use dreamcoder::tasks::Domain;
@@ -21,17 +19,18 @@ fn main() {
     );
 
     // Budgets here are laptop-scale (this reproduction runs on a single
-    // CPU; the paper used 20-100). Raise the timeouts for better results.
+    // CPU; the paper used 20-100). Raise the nats budgets for better
+    // results; each 1.5 nats costs several times the search.
     let config = DreamCoderConfig {
         condition: Condition::Full,
         cycles: 3,
         minibatch: 10,
         enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(700)),
+            max_budget: 13.5,
             ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(300)),
+            max_budget: 13.5,
             ..EnumerationConfig::default()
         },
         compression: dreamcoder::vspace::CompressionConfig {
@@ -60,7 +59,7 @@ fn main() {
 
     println!("\nlearned library routines:");
     if summary.library.is_empty() {
-        println!("  (none this run — try more cycles or longer timeouts)");
+        println!("  (none this run — try more cycles or larger budgets)");
     }
     for inv in &summary.library {
         println!("  {inv}");

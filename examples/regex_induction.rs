@@ -6,8 +6,6 @@
 //! cargo run --release --example regex_induction
 //! ```
 
-use std::time::Duration;
-
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::grammar::Grammar;
 use dreamcoder::tasks::domains::regex::{run_regex_program, RegexDomain};
@@ -24,12 +22,12 @@ fn main() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
 
     let config = EnumerationConfig {
-        timeout: Some(Duration::from_secs(10)),
+        max_budget: 19.5,
         ..EnumerationConfig::default()
     };
 
     // Demo on the lighter concepts; the long ones (phone numbers) need
-    // minutes of search. The seeded E10 row of `tests/claims.rs` compares
+    // larger budgets. The seeded E10 row of `tests/claims.rs` compares
     // conditions on held-out concepts.
     let wanted = ["integer list entry", "lowercase word", "price"];
     let tasks: Vec<_> = wanted

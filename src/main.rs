@@ -1,13 +1,13 @@
 //! `dreamcoder` — command-line driver for the DreamCoder-rs reproduction.
 //!
 //! ```sh
-//! dreamcoder run --domain list --cycles 4 --condition full --wake-ms 700
+//! dreamcoder run --domain list --cycles 4 --condition full --wake-nats 13.5
 //! dreamcoder domains
-//! dreamcoder solve --domain list --task "add1 to each" --timeout-ms 3000
+//! dreamcoder solve --domain list --task "add1 to each" --wake-nats 13.5
 //! ```
 
 use std::process::ExitCode;
-use std::time::Duration;
+use std::str::FromStr;
 
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::grammar::Grammar;
@@ -20,6 +20,7 @@ use dreamcoder::tasks::domains::symreg::SymRegDomain;
 use dreamcoder::tasks::domains::text::TextDomain;
 use dreamcoder::tasks::domains::tower::TowerDomain;
 use dreamcoder::tasks::Domain;
+use dreamcoder::wakesleep::sleep::MAP_FANTASY_NATS;
 use dreamcoder::wakesleep::{
     latest_checkpoint, search_task, Checkpoint, Condition, DreamCoder, DreamCoderConfig, Guide,
     RecognitionConfig,
@@ -63,6 +64,14 @@ fn parse_condition(name: &str) -> Option<Condition> {
     })
 }
 
+/// A search bounded by `max_budget` nats.
+fn nats(max_budget: f64) -> EnumerationConfig {
+    EnumerationConfig {
+        max_budget,
+        ..EnumerationConfig::default()
+    }
+}
+
 struct Args(Vec<String>);
 
 impl Args {
@@ -73,15 +82,15 @@ impl Args {
             .and_then(|i| self.0.get(i + 1))
             .cloned()
     }
-    fn flag_u64(&self, name: &str, default: u64) -> u64 {
-        self.flag(name)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    }
-    fn flag_f64(&self, name: &str, default: f64) -> f64 {
-        self.flag(name)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
+    /// A numeric flag's value, or `default` when the flag is absent. An
+    /// unparsable value prints a message and gives `Err`.
+    fn number<T: FromStr>(&self, name: &str, default: T) -> Result<T, ()> {
+        let Some(value) = self.flag(name) else {
+            return Ok(default);
+        };
+        value.parse().map_err(|_| {
+            eprintln!("{name} must be a number, got {value:?}");
+        })
     }
     /// Boolean flag: present or not, takes no value.
     fn has(&self, name: &str) -> bool {
@@ -90,34 +99,40 @@ impl Args {
 }
 
 fn usage() -> ExitCode {
+    let defaults = DreamCoderConfig::default();
     eprintln!(
         "usage:\n\
-         dreamcoder run --domain <name> [--cycles N] [--condition full|no-rec|no-lib|memorize|ec|ec2|enumeration|neural]\n\
-         \x20              [--wake-ms MS] [--test-ms MS] [--minibatch N] [--seed N] [--events FILE] [--threads N]\n\
+         dreamcoder run --domain <name> [--cycles N]\n\
+         \x20              [--condition full|no-rec|no-lib|memorize|memorize-rec|ec|ec2|enumeration|neural]\n\
+         \x20              [--wake-nats B] [--test-nats B] [--minibatch N] [--seed N] [--events FILE] [--threads N]\n\
          \x20              [--checkpoint-dir DIR] [--checkpoint-keep N] [--resume] [--summary-out FILE]\n\
-         \x20              [--deterministic] [--wake-nats B] [--test-nats B]\n\
          \x20              [--map-fantasies] [--fantasy-nats B]\n\
          \x20              [--status-addr HOST:PORT] [--trace-out FILE] [--log-level debug|info|warn]\n\
-         dreamcoder solve --domain <name> --task <task name> [--timeout-ms MS]\n\
+         dreamcoder solve --domain <name> --task <task name> [--wake-nats B]\n\
          dreamcoder domains\n\
          \n\
          worker threads default to the machine's parallelism; cap them with\n\
          --threads N or the DC_THREADS env var (--threads wins).\n\
          \n\
+         every search is bounded by a description length in nats: --wake-nats\n\
+         (default {wake}) for training tasks and for solve, --test-nats ({test})\n\
+         for held-out tasks, and --fantasy-nats ({MAP_FANTASY_NATS}) for the MAP search of\n\
+         --map-fantasies, which trains dreams on each dreamed task's MAP\n\
+         program (Appendix Alg. 3). No result depends on the clock, so a\n\
+         seeded run is byte-reproducible (DESIGN.md \u{a7}8).\n\
+         \n\
          --checkpoint-dir writes a crash-safe checkpoint after every cycle;\n\
-         --resume restarts from the newest one. --deterministic replaces the\n\
-         wall-clock enumeration budgets with nats budgets (--wake-nats,\n\
-         --test-nats) and zeroes timing metrics, making a seeded run byte-\n\
-         reproducible (DESIGN.md \u{a7}8). --map-fantasies trains dreams on\n\
-         each dreamed task's MAP program (Appendix Alg. 3); combined with\n\
-         --deterministic that search is bounded by --fantasy-nats B.\n\
+         --resume restarts from the newest one. Ctrl-C stops a run at the\n\
+         next cycle boundary.\n\
          \n\
          --status-addr serves live run introspection over HTTP while the\n\
          run is in flight: GET /metrics (Prometheus text), /status (JSON),\n\
          /healthz. --trace-out additionally records every span as a Chrome\n\
          trace-event file loadable in Perfetto / chrome://tracing.\n\
          --log-level (or the DC_LOG env var; the flag wins) sets the\n\
-         minimum severity written to the --events JSONL file."
+         minimum severity written to the --events JSONL file.",
+        wake = defaults.enumeration.max_budget,
+        test = defaults.test_enumeration.max_budget,
     );
     ExitCode::FAILURE
 }
@@ -155,7 +170,28 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            let Some(domain) = make_domain(&domain_name, args.flag_u64("--seed", 0)) else {
+            let defaults = DreamCoderConfig::default();
+            let (
+                Ok(seed),
+                Ok(cycles),
+                Ok(minibatch),
+                Ok(checkpoint_keep),
+                Ok(wake_nats),
+                Ok(test_nats),
+                Ok(fantasy_nats),
+            ) = (
+                args.number("--seed", 0),
+                args.number("--cycles", 3),
+                args.number("--minibatch", 12),
+                args.number("--checkpoint-keep", 3),
+                args.number("--wake-nats", defaults.enumeration.max_budget),
+                args.number("--test-nats", defaults.test_enumeration.max_budget),
+                args.number("--fantasy-nats", MAP_FANTASY_NATS),
+            )
+            else {
+                return ExitCode::FAILURE;
+            };
+            let Some(domain) = make_domain(&domain_name, seed) else {
                 eprintln!("unknown domain {domain_name:?}; try `dreamcoder domains`");
                 return ExitCode::FAILURE;
             };
@@ -169,56 +205,22 @@ fn main() -> ExitCode {
                     }
                 },
             };
-            let deterministic = args.has("--deterministic");
-            let (enumeration, test_enumeration) = if deterministic {
-                // Nats budgets instead of wall clock: seeded runs become
-                // byte-reproducible (DESIGN.md §8).
-                (
-                    EnumerationConfig {
-                        timeout: None,
-                        max_budget: args.flag_f64("--wake-nats", 11.0),
-                    },
-                    EnumerationConfig {
-                        timeout: None,
-                        max_budget: args.flag_f64("--test-nats", 9.0),
-                    },
-                )
-            } else {
-                (
-                    EnumerationConfig {
-                        timeout: Some(Duration::from_millis(args.flag_u64("--wake-ms", 700))),
-                        ..EnumerationConfig::default()
-                    },
-                    EnumerationConfig {
-                        timeout: Some(Duration::from_millis(args.flag_u64("--test-ms", 300))),
-                        ..EnumerationConfig::default()
-                    },
-                )
-            };
             let checkpoint_dir = args.flag("--checkpoint-dir").map(std::path::PathBuf::from);
-            let recognition = RecognitionConfig {
-                map_fantasies: args.has("--map-fantasies"),
-                // Under --deterministic the MAP-fantasy enumeration is
-                // bounded by nats, not wall clock (DESIGN.md §9).
-                map_fantasy_budget: if deterministic {
-                    Some(args.flag_f64("--fantasy-nats", 6.5))
-                } else {
-                    None
-                },
-                ..RecognitionConfig::default()
-            };
             let config = DreamCoderConfig {
                 condition,
-                cycles: args.flag_u64("--cycles", 3) as usize,
-                minibatch: args.flag_u64("--minibatch", 12) as usize,
-                enumeration,
-                test_enumeration,
-                recognition,
-                seed: args.flag_u64("--seed", 0),
+                cycles,
+                minibatch,
+                enumeration: nats(wake_nats),
+                test_enumeration: nats(test_nats),
+                recognition: RecognitionConfig {
+                    map_fantasies: args.has("--map-fantasies"),
+                    map_fantasy_budget: Some(fantasy_nats),
+                    ..RecognitionConfig::default()
+                },
+                seed,
                 checkpoint_dir: checkpoint_dir.clone(),
-                checkpoint_keep: args.flag_u64("--checkpoint-keep", 3) as usize,
-                deterministic_timing: deterministic,
-                ..DreamCoderConfig::default()
+                checkpoint_keep,
+                ..defaults
             };
             // Metrics are on for every run; `--events FILE` additionally
             // streams structured JSONL events to FILE at the severity
@@ -383,25 +385,28 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::FAILURE;
             };
-            let grammar = Grammar::uniform(Arc::clone(&domain.initial_library()));
-            let config = EnumerationConfig {
-                timeout: Some(Duration::from_millis(args.flag_u64("--timeout-ms", 5000))),
-                ..EnumerationConfig::default()
+            let default_nats = DreamCoderConfig::default().enumeration.max_budget;
+            let Ok(wake_nats) = args.number("--wake-nats", default_nats) else {
+                return ExitCode::FAILURE;
             };
+            let grammar = Grammar::uniform(Arc::clone(&domain.initial_library()));
             let result = search_task(
                 task,
                 &Guide::Generative(grammar.clone()),
                 &grammar,
                 5,
-                &config,
+                &nats(wake_nats),
             );
             match result.frontier.best() {
                 Some(best) => {
+                    let trace = &result.trace;
                     println!(
-                        "solved {:?} in {:.2}s after {} programs:\n  {}",
+                        "solved {:?}: first hit after {} programs, at {:.1} nats \
+                         ({} programs searched):\n  {}",
                         task.name,
-                        result.trace.solve_time.unwrap_or_default(),
-                        result.trace.programs_enumerated,
+                        trace.programs_to_first_hit.unwrap_or_default(),
+                        trace.first_hit_nats.unwrap_or_default(),
+                        trace.programs_enumerated,
                         best.expr
                     );
                     ExitCode::SUCCESS

@@ -5,7 +5,6 @@
 //! round-trip.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dreamcoder::grammar::enumeration::{enumerate_programs, EnumerationConfig};
 use dreamcoder::grammar::Grammar;
@@ -59,7 +58,7 @@ fn enumeration_typechecks_on_every_domain_request() {
         let grammar = Grammar::uniform(Arc::clone(&domain.initial_library()));
         for request in domain.dream_requests() {
             let cfg = EnumerationConfig {
-                timeout: Some(Duration::from_millis(150)),
+                max_budget: 10.5,
                 ..EnumerationConfig::default()
             };
             let mut n = 0;

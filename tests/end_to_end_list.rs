@@ -2,8 +2,6 @@
 //! exercising wake search, abstraction sleep, dream sleep, and held-out
 //! evaluation together.
 
-use std::time::Duration;
-
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::tasks::domains::list::ListDomain;
 use dreamcoder::tasks::Domain;
@@ -15,11 +13,11 @@ fn tiny_config(condition: Condition, seed: u64) -> DreamCoderConfig {
         cycles: 2,
         minibatch: 8,
         enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(400)),
+            max_budget: 10.5,
             ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(200)),
+            max_budget: 10.5,
             ..EnumerationConfig::default()
         },
         compression: dreamcoder::vspace::CompressionConfig {

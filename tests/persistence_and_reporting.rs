@@ -2,7 +2,6 @@
 //! the reporting helpers render run summaries.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::grammar::{load_grammar, save_grammar, Grammar};
@@ -64,11 +63,11 @@ fn reporting_helpers_render_real_runs() {
         cycles: 2,
         minibatch: 4,
         enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(150)),
+            max_budget: 10.5,
             ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(80)),
+            max_budget: 10.5,
             ..EnumerationConfig::default()
         },
         seed: 5,

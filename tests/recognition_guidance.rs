@@ -3,7 +3,6 @@
 //! program higher than an untrained/uniform model does.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::grammar::{Grammar, Library};
@@ -92,7 +91,7 @@ fn guided_search_still_solves_tasks() {
         .find(|t| t.name == "head")
         .unwrap();
     let config = EnumerationConfig {
-        timeout: Some(Duration::from_secs(3)),
+        max_budget: 13.5,
         ..EnumerationConfig::default()
     };
     let result = search_task(

@@ -3,8 +3,6 @@
 //! (programs enumerated, evaluations run, compression candidates, and the
 //! per-cycle phase breakdown). CI runs this as its smoke gate.
 
-use std::time::Duration;
-
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::tasks::domains::list::ListDomain;
 use dreamcoder::wakesleep::{Condition, DreamCoder, DreamCoderConfig};
@@ -17,11 +15,11 @@ fn tiny_run_produces_well_formed_telemetry_json() {
         cycles: 2,
         minibatch: 6,
         enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(300)),
+            max_budget: 10.5,
             ..EnumerationConfig::default()
         },
         test_enumeration: EnumerationConfig {
-            timeout: Some(Duration::from_millis(150)),
+            max_budget: 10.5,
             ..EnumerationConfig::default()
         },
         compression: dreamcoder::vspace::CompressionConfig {

@@ -8,7 +8,6 @@
 //! twice.
 
 use std::cell::Cell;
-use std::time::{Duration, Instant};
 
 use dc_lambda::expr::Expr;
 use dc_lambda::types::{Context, Type};
@@ -30,11 +29,11 @@ pub const MAX_DEPTH: usize = 16;
 pub struct EnumerationConfig {
     /// Give up beyond this description length.
     pub max_budget: f64,
-    /// Wall-clock timeout for the whole run. It stays only because
-    /// `dcbench/` names it: every other caller bounds a search by
-    /// `max_budget` alone, so its results do not depend on the clock, and
-    /// only this module's `timeout_is_respected` test sets it.
-    pub timeout: Option<Duration>,
+    /// Always `None`, the only value of its type: a search is bounded by
+    /// `max_budget` alone and never reads the clock. The field remains
+    /// only for the `timeout: None` lines in `dcbench/`; ROADMAP item 7
+    /// deletes it.
+    pub timeout: Option<std::convert::Infallible>,
 }
 
 impl Default for EnumerationConfig {
@@ -60,27 +59,12 @@ pub struct EnumerationStats {
     /// Nats frontier actually completed: every program with description
     /// length below this bound was enumerated.
     pub frontier_nats: f64,
-    /// The run stopped on its wall-clock deadline (as opposed to
-    /// exhausting the budget or the callback ending it).
-    pub timed_out: bool,
 }
 
 /// Enumerate closed programs of type `request` in decreasing prior order.
 ///
 /// `callback(expr, log_prior)` is invoked for each program; return `false`
-/// to stop the run early. Returns the number of programs emitted.
-/// ([`enumerate_programs_stats`] additionally reports search forensics.)
-pub fn enumerate_programs(
-    prior: &dyn ProgramPrior,
-    request: &Type,
-    config: &EnumerationConfig,
-    callback: &mut dyn FnMut(Expr, f64) -> bool,
-) -> usize {
-    enumerate_programs_stats(prior, request, config, callback).programs
-}
-
-/// [`enumerate_programs`], returning the full [`EnumerationStats`]
-/// forensic record instead of just the program count.
+/// to stop the run early. Returns the run's [`EnumerationStats`].
 pub fn enumerate_programs_stats(
     prior: &dyn ProgramPrior,
     request: &Type,
@@ -89,14 +73,12 @@ pub fn enumerate_programs_stats(
 ) -> EnumerationStats {
     let _span = dc_telemetry::span("enumeration.run_time");
     let mut stats = EnumerationStats::default();
-    let started = Instant::now();
+    let typed_out = Cell::new(0);
     let mut lower = 0.0;
     let mut upper = BUDGET_START;
-    let deadline = config.timeout.map(|t| started + t);
-    'outer: while lower < config.max_budget {
+    while lower < config.max_budget {
         stats.windows += 1;
         let mut ctx = Context::starting_after(request);
-        let ticker = DeadlineTicker::new(deadline);
         let keep_going = enum_request(
             prior,
             &mut ctx,
@@ -107,29 +89,21 @@ pub fn enumerate_programs_stats(
             lower,
             upper.min(config.max_budget),
             MAX_DEPTH,
-            &ticker,
+            &typed_out,
             &mut |_, e, ll| {
                 stats.programs += 1;
                 callback(e, ll)
             },
         );
-        stats.typed_out += ticker.typed_out.get();
         if !keep_going {
-            // Either the deadline fired mid-window or the callback asked
-            // to stop; the window is incomplete either way.
-            stats.timed_out = ticker.expired.get();
-            break 'outer;
+            // The callback asked to stop: the window is incomplete.
+            break;
         }
         stats.frontier_nats = upper.min(config.max_budget);
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                stats.timed_out = true;
-                break 'outer;
-            }
-        }
         lower = upper;
         upper += BUDGET_STEP;
     }
+    stats.typed_out = typed_out.get();
     // One batched update per run, not per program: the inner loop stays
     // free of atomics even with telemetry enabled.
     if dc_telemetry::is_enabled() {
@@ -141,65 +115,17 @@ pub fn enumerate_programs_stats(
     stats
 }
 
-/// Poll the wall clock only every this many node expansions: per-node
-/// `Instant::now()` costs more than the expansion itself deep in the tree.
-const DEADLINE_CHECK_INTERVAL: u32 = 1024;
-
-/// Amortized deadline checks, plus the window's typed-out tally. The
-/// deadline half serves [`EnumerationConfig::timeout`] alone. Once
-/// expired, stays expired (the clock is never consulted again), so an
-/// exhausted run unwinds quickly. Interior mutability lets the recursion
-/// and its continuation closures share one ticker by plain `&` reference.
-struct DeadlineTicker {
-    deadline: Option<Instant>,
-    countdown: Cell<u32>,
-    expired: Cell<bool>,
-    /// Candidate heads this window rejected by unification. Counted here
-    /// rather than in [`candidate_heads`], which also serves re-scoring
-    /// (`log_prior`) calls made from inside the enumeration callback.
-    typed_out: Cell<u64>,
-}
-
-impl DeadlineTicker {
-    fn new(deadline: Option<Instant>) -> DeadlineTicker {
-        DeadlineTicker {
-            deadline,
-            countdown: Cell::new(DEADLINE_CHECK_INTERVAL),
-            expired: Cell::new(false),
-            typed_out: Cell::new(0),
-        }
-    }
-
-    fn note_typed_out(&self, n: usize) {
-        self.typed_out.set(self.typed_out.get() + n as u64);
-    }
-
-    #[inline]
-    fn expired(&self) -> bool {
-        if self.expired.get() {
-            return true;
-        }
-        let Some(d) = self.deadline else {
-            return false;
-        };
-        let left = self.countdown.get();
-        if left > 0 {
-            self.countdown.set(left - 1);
-            return false;
-        }
-        self.countdown.set(DEADLINE_CHECK_INTERVAL);
-        let hit = Instant::now() >= d;
-        self.expired.set(hit);
-        hit
-    }
-}
-
 /// Enumerate programs for `request`; `ret(ctx, expr, log_prior)` receives
 /// each. Returns `false` to propagate early exit.
 ///
 /// `env` holds the bound-variable types innermost-first; it is built once
 /// per λ-extension and passed down by slice (the old cons-list rebuilt a
 /// `Vec` at every node underneath the binder).
+///
+/// `typed_out` tallies the candidate heads the run rejects by
+/// unification. It is counted here rather than in [`candidate_heads`],
+/// which also serves re-scoring (`log_prior`) calls made from inside the
+/// enumeration callback.
 #[allow(clippy::too_many_arguments)]
 fn enum_request(
     prior: &dyn ProgramPrior,
@@ -211,14 +137,11 @@ fn enum_request(
     lower: f64,
     upper: f64,
     depth: usize,
-    ticker: &DeadlineTicker,
+    typed_out: &Cell<u64>,
     ret: &mut dyn FnMut(&mut Context, Expr, f64) -> bool,
 ) -> bool {
     if upper <= 0.0 || depth == 0 {
         return true;
-    }
-    if ticker.expired() {
-        return false;
     }
     if let Some((a, b)) = ctx.resolve(request).as_arrow() {
         let (a, b) = (a.clone(), b.clone());
@@ -235,12 +158,12 @@ fn enum_request(
             lower,
             upper,
             depth,
-            ticker,
+            typed_out,
             &mut |c, body, ll| ret(c, Expr::abstraction(body), ll),
         );
     }
     let heads = candidate_heads(prior, parent, arg, ctx, env, request);
-    ticker.note_typed_out(env.len() + prior.library().len() - heads.len());
+    typed_out.set(typed_out.get() + (env.len() + prior.library().len() - heads.len()) as u64);
     for head in heads {
         let mdl = -head.log_prob;
         if mdl >= upper {
@@ -251,7 +174,7 @@ fn enum_request(
         // `Context` per candidate.
         let cp = ctx.checkpoint();
         let Some(arg_types) = commit_head(prior, ctx, env, request, &head) else {
-            ticker.note_typed_out(1);
+            typed_out.set(typed_out.get() + 1);
             ctx.rollback(cp);
             continue;
         };
@@ -267,7 +190,7 @@ fn enum_request(
             lower + head.log_prob,
             upper + head.log_prob,
             depth,
-            ticker,
+            typed_out,
             ret,
         );
         ctx.rollback(cp);
@@ -291,7 +214,7 @@ fn enum_applications(
     lower: f64,
     upper: f64,
     depth: usize,
-    ticker: &DeadlineTicker,
+    typed_out: &Cell<u64>,
     ret: &mut dyn FnMut(&mut Context, Expr, f64) -> bool,
 ) -> bool {
     let Some((first, rest)) = arg_types.split_first() else {
@@ -310,7 +233,7 @@ fn enum_applications(
         0.0,
         upper,
         depth - 1,
-        ticker,
+        typed_out,
         &mut |ctx2, arg_expr, arg_ll| {
             enum_applications(
                 prior,
@@ -324,26 +247,11 @@ fn enum_applications(
                 lower + arg_ll,
                 upper + arg_ll,
                 depth,
-                ticker,
+                typed_out,
                 ret,
             )
         },
     )
-}
-
-/// Convenience: collect the first `n` enumerated programs with priors.
-pub fn enumerate_top(
-    prior: &dyn ProgramPrior,
-    request: &Type,
-    config: &EnumerationConfig,
-    n: usize,
-) -> Vec<(Expr, f64)> {
-    let mut out = Vec::with_capacity(n);
-    enumerate_programs(prior, request, config, &mut |e, ll| {
-        out.push((e, ll));
-        out.len() < n
-    });
-    out
 }
 
 #[cfg(test)]
@@ -362,10 +270,20 @@ mod tests {
         (Grammar::uniform(lib), prims)
     }
 
+    /// The first `n` programs of `request`'s stream, with their priors.
+    fn first_programs(g: &Grammar, request: &Type, n: usize) -> Vec<(Expr, f64)> {
+        let mut out = Vec::with_capacity(n);
+        enumerate_programs_stats(g, request, &EnumerationConfig::default(), &mut |e, ll| {
+            out.push((e, ll));
+            out.len() < n
+        });
+        out
+    }
+
     #[test]
     fn enumerates_in_decreasing_prior_order_within_window() {
         let (g, _) = grammar();
-        let progs = enumerate_top(&g, &tint(), &EnumerationConfig::default(), 200);
+        let progs = first_programs(&g, &tint(), 200);
         assert!(
             progs.len() >= 100,
             "expected many int programs, got {}",
@@ -384,7 +302,7 @@ mod tests {
     #[test]
     fn no_duplicates_across_budget_windows() {
         let (g, _) = grammar();
-        let progs = enumerate_top(&g, &tint(), &EnumerationConfig::default(), 500);
+        let progs = first_programs(&g, &tint(), 500);
         let mut seen = HashSet::new();
         for (e, _) in &progs {
             assert!(seen.insert(e.to_string()), "duplicate program {e}");
@@ -395,7 +313,7 @@ mod tests {
     fn all_enumerated_programs_typecheck() {
         let (g, _) = grammar();
         let t = Type::arrow(tlist(tint()), tint());
-        let progs = enumerate_top(&g, &t, &EnumerationConfig::default(), 200);
+        let progs = first_programs(&g, &t, 200);
         assert!(!progs.is_empty());
         let mut ctx = Context::new();
         for (e, _) in &progs {
@@ -416,7 +334,7 @@ mod tests {
     fn enumerated_priors_match_log_prior() {
         let (g, _) = grammar();
         let t = tint();
-        for (e, ll) in enumerate_top(&g, &t, &EnumerationConfig::default(), 100) {
+        for (e, ll) in first_programs(&g, &t, 100) {
             let direct = g.log_prior(&t, &e);
             assert_eq!(
                 direct.to_bits(),
@@ -430,25 +348,13 @@ mod tests {
     fn callback_can_stop_early() {
         let (g, _) = grammar();
         let mut count = 0;
-        enumerate_programs(&g, &tint(), &EnumerationConfig::default(), &mut |_, _| {
-            count += 1;
-            count < 5
-        });
+        let stats =
+            enumerate_programs_stats(&g, &tint(), &EnumerationConfig::default(), &mut |_, _| {
+                count += 1;
+                count < 5
+            });
         assert_eq!(count, 5);
-    }
-
-    #[test]
-    fn timeout_is_respected() {
-        let (g, _) = grammar();
-        let cfg = EnumerationConfig {
-            timeout: Some(Duration::from_millis(50)),
-            max_budget: 1000.0,
-        };
-        let started = Instant::now();
-        let stats = enumerate_programs_stats(&g, &tint(), &cfg, &mut |_, _| true);
-        assert!(started.elapsed() < Duration::from_secs(5));
-        assert!(stats.timed_out, "a 1000-nat budget must hit the deadline");
-        assert!(stats.frontier_nats < cfg.max_budget);
+        assert_eq!(stats.programs, 5);
     }
 
     #[test]
@@ -468,12 +374,10 @@ mod tests {
         assert!(stats.typed_out > 0, "unification prunes some heads");
         // Ran to budget exhaustion: the whole budget is the frontier.
         assert!((stats.frontier_nats - cfg.max_budget).abs() < 1e-9);
-        assert!(!stats.timed_out);
 
         // A callback stop mid-window leaves the frontier at the last
-        // *completed* window and is not a timeout.
+        // *completed* window.
         let stats = enumerate_programs_stats(&g, &tint(), &cfg, &mut |_, _| false);
-        assert!(!stats.timed_out);
         assert!(stats.frontier_nats < cfg.max_budget);
     }
 
@@ -481,7 +385,7 @@ mod tests {
     fn function_requests_produce_lambdas() {
         let (g, _) = grammar();
         let t = Type::arrow(tint(), tint());
-        let progs = enumerate_top(&g, &t, &EnumerationConfig::default(), 50);
+        let progs = first_programs(&g, &t, 50);
         for (e, _) in &progs {
             assert!(
                 matches!(e, Expr::Abstraction(_)),

@@ -17,15 +17,19 @@
 //! ```
 //! use std::sync::Arc;
 //! use dc_grammar::{Grammar, Library};
-//! use dc_grammar::enumeration::{enumerate_top, EnumerationConfig};
+//! use dc_grammar::enumeration::{enumerate_programs_stats, EnumerationConfig};
 //! use dc_lambda::primitives::base_primitives;
 //! use dc_lambda::types::tint;
 //!
 //! let prims = base_primitives();
 //! let library = Arc::new(Library::from_primitives(prims.iter().cloned()));
 //! let grammar = Grammar::uniform(library);
-//! let programs = enumerate_top(&grammar, &tint(), &EnumerationConfig::default(), 10);
-//! assert_eq!(programs.len(), 10);
+//! let mut programs = Vec::new();
+//! let stats = enumerate_programs_stats(&grammar, &tint(), &EnumerationConfig::default(), &mut |e, _| {
+//!     programs.push(e);
+//!     programs.len() < 10
+//! });
+//! assert_eq!(stats.programs, 10);
 //! ```
 
 #![warn(missing_docs)]

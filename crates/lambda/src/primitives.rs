@@ -140,42 +140,6 @@ pub fn prim_fold() -> Arc<Primitive> {
     )
 }
 
-/// `unfold : t0 -> (t0 -> bool) -> (t0 -> t1) -> (t0 -> t0) -> list(t1)`.
-///
-/// `unfold x p h n` produces `[]` when `p x`, else `h x :: unfold (n x) ...`.
-pub fn prim_unfold() -> Arc<Primitive> {
-    Primitive::function(
-        "unfold",
-        Type::arrows(
-            vec![
-                tvar(0),
-                Type::arrow(tvar(0), tbool()),
-                Type::arrow(tvar(0), tvar(1)),
-                Type::arrow(tvar(0), tvar(0)),
-            ],
-            tlist(tvar(1)),
-        ),
-        |args, ctx| {
-            let mut seed = args[0].clone();
-            let stop = args[1].clone();
-            let head = args[2].clone();
-            let next = args[3].clone();
-            let mut out = Vec::new();
-            loop {
-                ctx.burn(1)?;
-                if ctx.apply(stop.clone(), seed.clone())?.as_bool()? {
-                    return Ok(Value::list(out));
-                }
-                if out.len() >= ctx.max_list_len {
-                    return Err(EvalError::runtime("unfold output too long"));
-                }
-                out.push(ctx.apply(head.clone(), seed.clone())?);
-                seed = ctx.apply(next.clone(), seed)?;
-            }
-        },
-    )
-}
-
 /// `cons : t0 -> list(t0) -> list(t0)`.
 pub fn prim_cons() -> Arc<Primitive> {
     Primitive::function(
@@ -328,39 +292,6 @@ pub fn prim_zip() -> Arc<Primitive> {
     )
 }
 
-/// `filter : (t0 -> bool) -> list(t0) -> list(t0)`.
-pub fn prim_filter() -> Arc<Primitive> {
-    Primitive::function(
-        "filter",
-        Type::arrows(
-            vec![Type::arrow(tvar(0), tbool()), tlist(tvar(0))],
-            tlist(tvar(0)),
-        ),
-        |args, ctx| {
-            let f = args[0].clone();
-            let items = args[1].as_list()?.to_vec();
-            let mut out = Vec::new();
-            for item in items {
-                if ctx.apply(f.clone(), item.clone())?.as_bool()? {
-                    out.push(item);
-                }
-            }
-            Ok(Value::list(out))
-        },
-    )
-}
-
-/// `range : int -> list(int)` producing `[0, 1, ..., n-1]`.
-pub fn prim_range() -> Arc<Primitive> {
-    Primitive::function("range", Type::arrow(tint(), tlist(tint())), |args, ctx| {
-        let n = args[0].as_int()?;
-        if n < 0 || n as usize > ctx.max_list_len {
-            return Err(EvalError::runtime("range argument out of bounds"));
-        }
-        Ok(Value::list((0..n).map(Value::Int).collect()))
-    })
-}
-
 fn is_square(n: i64) -> bool {
     if n < 0 {
         return false;
@@ -416,20 +347,6 @@ pub fn base_primitives() -> PrimitiveSet {
         .add(int_pred("is-prime", is_prime))
         .add(Primitive::constant("true", tbool(), Value::Bool(true)))
         .add(Primitive::constant("false", tbool(), Value::Bool(false)));
-    s
-}
-
-/// Extra list helpers made available when a domain wants a richer basis
-/// (`filter`, `zip`, `range`, `unfold`, small digit constants).
-pub fn rich_list_primitives() -> PrimitiveSet {
-    let mut s = base_primitives();
-    s.add(prim_filter())
-        .add(prim_zip())
-        .add(prim_range())
-        .add(prim_unfold());
-    for d in 2..=9 {
-        s.add(prim_int(d));
-    }
     s
 }
 
@@ -592,38 +509,16 @@ mod tests {
     }
 
     #[test]
-    fn zip_and_filter_and_range() {
-        let prims = rich_list_primitives();
+    fn zip_combines_lists_pairwise() {
+        let mut prims = base_primitives();
+        prims.add(prim_zip());
         let e = Expr::parse(
-            "(zip (range 3) (range 3) (lambda (lambda (+ $0 $1))))",
+            "(zip (cons 0 (cons 1 (cons 1 nil))) (cons 0 (cons 1 nil)) (lambda (lambda (+ $0 $1))))",
             &prims,
         )
         .unwrap();
         let out = run_program(&e, &[], 100_000).unwrap();
-        assert_eq!(
-            out,
-            Value::list(vec![Value::Int(0), Value::Int(2), Value::Int(4)])
-        );
-
-        let f = Expr::parse("(filter (lambda (> $0 1)) (range 4))", &prims).unwrap();
-        assert_eq!(
-            run_program(&f, &[], 100_000).unwrap(),
-            Value::list(vec![Value::Int(2), Value::Int(3)])
-        );
-    }
-
-    #[test]
-    fn unfold_countdown() {
-        let prims = rich_list_primitives();
-        let e = Expr::parse(
-            "(unfold 3 (lambda (= $0 0)) (lambda $0) (lambda (- $0 1)))",
-            &prims,
-        )
-        .unwrap();
-        assert_eq!(
-            run_program(&e, &[], 100_000).unwrap(),
-            Value::list(vec![Value::Int(3), Value::Int(2), Value::Int(1)])
-        );
+        assert_eq!(out, Value::list(vec![Value::Int(0), Value::Int(2)]));
     }
 
     #[test]

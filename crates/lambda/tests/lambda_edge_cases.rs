@@ -4,7 +4,7 @@
 
 use dc_lambda::eval::{run_program, EvalCtx, Value};
 use dc_lambda::expr::Expr;
-use dc_lambda::primitives::{base_primitives, rich_list_primitives};
+use dc_lambda::primitives::base_primitives;
 use dc_lambda::types::{tbool, tint, tlist, tvar, Context, Type};
 use dc_lambda::{Env, EvalError, MAX_DEPTH};
 
@@ -79,7 +79,7 @@ fn beta_reduction_is_capture_avoiding() {
 #[test]
 fn evaluator_bounds_list_growth() {
     // Repeated doubling of a list would explode; the guard trips first.
-    let prims = rich_list_primitives();
+    let prims = base_primitives();
     let e = Expr::parse(
         "(lambda (fix (lambda (lambda (cons 1 ($1 $0)))) $0))",
         &prims,

@@ -25,7 +25,8 @@ use crate::run::CycleStats;
 /// v2: `CycleStats` gained per-task `search_traces` forensics.
 /// v3: the wall-clock solve times, per cycle and per trace, gave way to
 /// each trace's `programs_to_first_hit` and `first_hit_nats`.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// v4: a trace's `outcome` can no longer be `Timeout`.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Serialized ChaCha8 generator state (see `rand_chacha::ChaCha8State`).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]

@@ -34,6 +34,4 @@ pub use config::{Condition, DreamCoderConfig, RecognitionConfig};
 pub use report::{comparison_table, forensics_report, forensics_table, learning_curve, sparkline};
 pub use run::{CycleStats, DreamCoder, RunSummary};
 pub use sleep::{abstraction_sleep, dream_sleep, generate_fantasies, DreamStats};
-pub use wake::{
-    search_task, search_task_guarded, wake, Guide, SearchOutcome, SearchTrace, TaskSearchResult,
-};
+pub use wake::{search_task, wake, Guide, SearchOutcome, SearchTrace, TaskSearchResult};

@@ -20,7 +20,7 @@ use serde::Serialize;
 use crate::checkpoint::{self, Checkpoint, CheckpointError, SavedRngState, TaskFrontier};
 use crate::config::DreamCoderConfig;
 use crate::sleep::{abstraction_sleep, dream_sleep};
-use crate::wake::{search_task_guarded, wake, Guide, SearchTrace, TaskSearchResult};
+use crate::wake::{wake, Guide, SearchTrace, TaskSearchResult};
 use dc_grammar::persist::{load_frontier, load_grammar, save_frontier, save_grammar};
 use serde::Deserialize;
 
@@ -244,11 +244,24 @@ impl<'d> DreamCoder<'d> {
         }
     }
 
-    fn guide_for(&self, task: &Task) -> Guide {
-        match &self.recognition {
-            Some(model) => Guide::Recognition(model.predict(&task.features)),
-            None => Guide::Generative(self.grammar.clone()),
-        }
+    /// Search `tasks` with [`wake`] under `config`, each guided by the
+    /// recognition model's prediction for it when the condition has a
+    /// model, by the generative grammar otherwise.
+    fn search(&self, tasks: &[&Task], config: &EnumerationConfig) -> Vec<TaskSearchResult> {
+        // `predict` decodes a full bigram tensor per task — parallelize it
+        // like the search itself. The collect preserves task order, so the
+        // guides (and everything downstream) are thread-count-invariant.
+        let guides: Vec<Guide> = {
+            let _span = dc_telemetry::span("wake.predict");
+            tasks
+                .par_iter()
+                .map(|task| match &self.recognition {
+                    Some(model) => Guide::Recognition(model.predict(&task.features)),
+                    None => Guide::Generative(self.grammar.clone()),
+                })
+                .collect()
+        };
+        wake(tasks, &guides, &self.grammar, BEAM_SIZE, config)
     }
 
     /// One wake phase over a random minibatch; merges new solutions into
@@ -259,20 +272,7 @@ impl<'d> DreamCoder<'d> {
         indices.shuffle(&mut self.rng);
         indices.truncate(self.config.minibatch.max(1));
         let tasks: Vec<&Task> = indices.iter().map(|&i| &train[i]).collect();
-        // `predict` decodes a full bigram tensor per task — parallelize it
-        // like the search itself. The collect preserves task order, so the
-        // guides (and everything downstream) are thread-count-invariant.
-        let guides: Vec<Guide> = {
-            let _span = dc_telemetry::span("wake.predict");
-            tasks.par_iter().map(|t| self.guide_for(t)).collect()
-        };
-        let results = wake(
-            &tasks,
-            &guides,
-            &self.grammar,
-            BEAM_SIZE,
-            &self.config.enumeration,
-        );
+        let results = self.search(&tasks, &self.config.enumeration);
         let paired: Vec<(usize, TaskSearchResult)> = indices.into_iter().zip(results).collect();
         for (i, result) in &paired {
             if result.frontier.is_empty() {
@@ -355,23 +355,14 @@ impl<'d> DreamCoder<'d> {
         ))
     }
 
-    /// Evaluate on held-out test tasks; returns the fraction solved.
+    /// Evaluate on held-out test tasks, through the same search as the
+    /// wake phase; returns the fraction solved.
     pub fn evaluate(&self, tasks: &[Task], config: &EnumerationConfig) -> f64 {
         if tasks.is_empty() {
             return 0.0;
         }
-        use rayon::prelude::*;
-        // As in `wake`: worker span stacks start empty, so hand the
-        // current span in by handle to keep eval searches nested.
-        let parent = dc_telemetry::current_span();
-        let results: Vec<TaskSearchResult> = tasks
-            .par_iter()
-            .map(|task| {
-                let _span = dc_telemetry::span_under(parent, "eval.search");
-                let guide = self.guide_for(task);
-                search_task_guarded(task, &guide, &self.grammar, BEAM_SIZE, config)
-            })
-            .collect();
+        let tasks: Vec<&Task> = tasks.iter().collect();
+        let results = self.search(&tasks, config);
         let solved = results.iter().filter(|r| !r.frontier.is_empty()).count();
         solved as f64 / tasks.len() as f64
     }

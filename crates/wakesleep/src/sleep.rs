@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::config::Condition;
-use crate::wake::{panic_message, search_task, Guide};
+use crate::wake::{isolate_panics, search_task, Guide};
 
 /// Max depth of sampled fantasy programs.
 const SAMPLE_DEPTH: usize = 10;
@@ -204,7 +204,15 @@ pub fn generate_fantasies(
             .par_iter()
             .map(|&slot| {
                 let _span = dc_telemetry::span_under(parent, "dream.fantasy");
-                fantasy_attempt_guarded(domain, grammar, &requests, config, stream_key, slot)
+                // A panicking domain evaluator (in `dream` or in the MAP
+                // search's oracle) costs this slot, not the dream sleep.
+                isolate_panics(
+                    "dream.fantasy_panics",
+                    "dream.fantasy_panic",
+                    ("slot", slot.into()),
+                    || fantasy_attempt(domain, grammar, &requests, config, stream_key, slot),
+                )
+                .flatten()
             })
             .collect();
         examples.extend(produced.into_iter().flatten());
@@ -244,32 +252,6 @@ fn fantasy_attempt(
         request.clone(),
         vec![(target, 1.0)],
     ))
-}
-
-/// [`fantasy_attempt`] with panic isolation: a panicking domain evaluator
-/// (in `dream` or in the MAP enumeration's oracle) costs one skipped
-/// fantasy and a telemetry event, not the whole dream sleep.
-fn fantasy_attempt_guarded(
-    domain: &dyn Domain,
-    grammar: &Grammar,
-    requests: &[Type],
-    config: &crate::config::RecognitionConfig,
-    stream_key: u64,
-    slot: u64,
-) -> Option<TrainingExample> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        fantasy_attempt(domain, grammar, requests, config, stream_key, slot)
-    }))
-    .unwrap_or_else(|payload| {
-        let message = panic_message(&*payload);
-        dc_telemetry::incr("dream.fantasy_panics");
-        dc_telemetry::event(
-            dc_telemetry::Level::Warn,
-            "dream.fantasy_panic",
-            &[("slot", slot.into()), ("message", message.into())],
-        );
-        None
-    })
 }
 
 /// Algorithm 3's inner step: enumerate in decreasing prior order and keep

@@ -36,21 +36,16 @@ pub enum SearchOutcome {
     Solved,
     /// The nats budget ran out with no hit.
     BudgetExhausted,
-    /// The wall-clock deadline fired with no hit. Only a search given an
-    /// `EnumerationConfig::timeout` ends this way; that field stays while
-    /// `dcbench/` names it, and no caller outside `dcbench/` sets it.
-    Timeout,
     /// The task's evaluator panicked; the search was abandoned.
     EvalPanic,
 }
 
 impl SearchOutcome {
-    /// Short display label (`solved`, `budget`, `timeout`, `panic`).
+    /// Short display label (`solved`, `budget`, `panic`).
     pub fn label(&self) -> &'static str {
         match self {
             SearchOutcome::Solved => "solved",
             SearchOutcome::BudgetExhausted => "budget",
-            SearchOutcome::Timeout => "timeout",
             SearchOutcome::EvalPanic => "panic",
         }
     }
@@ -146,8 +141,6 @@ pub fn search_task(
     let best = frontier.best();
     let outcome = if best.is_some() {
         SearchOutcome::Solved
-    } else if stats.timed_out {
-        SearchOutcome::Timeout
     } else {
         SearchOutcome::BudgetExhausted
     };
@@ -166,53 +159,39 @@ pub fn search_task(
     TaskSearchResult { frontier, trace }
 }
 
-/// Best-effort human-readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned())
-}
-
-/// [`search_task`] with per-task panic isolation: a panicking evaluator
-/// (a poisoned oracle, an arithmetic edge case deep in a domain) yields
-/// an **empty frontier** plus a telemetry event instead of unwinding
-/// through the cycle and killing the whole run.
-pub fn search_task_guarded(
-    task: &Task,
-    guide: &Guide,
-    scorer: &Grammar,
-    beam_size: usize,
-    config: &EnumerationConfig,
-) -> TaskSearchResult {
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        search_task(task, guide, scorer, beam_size, config)
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => {
-            let message = panic_message(&*payload);
-            dc_telemetry::incr("wake.task_panics");
+/// Run `attempt` with panic isolation: a panic in it is counted in
+/// `counter` and reported as a warning `event` carrying `field` and the
+/// panic message, and comes back as `None` instead of unwinding through
+/// the caller.
+pub(crate) fn isolate_panics<T>(
+    counter: &'static str,
+    event: &str,
+    field: (&str, dc_telemetry::FieldValue),
+    attempt: impl FnOnce() -> T,
+) -> Option<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt))
+        .map_err(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            dc_telemetry::incr(counter);
             dc_telemetry::event(
                 dc_telemetry::Level::Warn,
-                "wake.task_panic",
-                &[
-                    ("task", task.name.as_str().into()),
-                    ("message", message.into()),
-                ],
+                event,
+                &[field, ("message", message.into())],
             );
-            TaskSearchResult {
-                frontier: Frontier::new(task.request.clone()),
-                trace: SearchTrace::evaluator_panic(task),
-            }
-        }
-    }
+        })
+        .ok()
 }
 
-/// Search a batch of tasks in parallel. Each task is panic-isolated via
-/// [`search_task_guarded`], so one poisoned evaluator costs its own
-/// frontier, not the cycle.
+/// Search a batch of tasks in parallel, each with [`search_task`] under
+/// its own guide and in its own `wake.search` span. Training and held-out
+/// tasks both search here. Each search is panic-isolated: a panicking
+/// evaluator (a poisoned oracle, an arithmetic edge case deep in a
+/// domain) costs its own task an **empty frontier** and a
+/// `wake.task_panic` event, not the cycle.
 pub fn wake(
     tasks: &[&Task],
     guides: &[Guide],
@@ -227,12 +206,22 @@ pub fn wake(
     (0..tasks.len())
         .into_par_iter()
         .map(|idx| {
+            let task = tasks[idx];
             let _span = dc_telemetry::span_under_with_fields(
                 parent,
                 "wake.search",
                 &[("task", idx.into())],
             );
-            search_task_guarded(tasks[idx], &guides[idx], scorer, beam_size, config)
+            isolate_panics(
+                "wake.task_panics",
+                "wake.task_panic",
+                ("task", task.name.as_str().into()),
+                || search_task(task, &guides[idx], scorer, beam_size, config),
+            )
+            .unwrap_or_else(|| TaskSearchResult {
+                frontier: Frontier::new(task.request.clone()),
+                trace: SearchTrace::evaluator_panic(task),
+            })
         })
         .collect()
 }
@@ -411,7 +400,6 @@ mod tests {
         // The first hit is the first program of the guide's stream whose
         // likelihood is finite: its 1-based position, and its `-log`
         // prior under the guide.
-        use dc_grammar::enumeration::enumerate_programs;
         use dc_tasks::domain::Domain;
         use dc_tasks::domains::list::ListDomain;
 
@@ -423,7 +411,7 @@ mod tests {
         for task in domain.train_tasks() {
             let mut position = 0;
             let mut first = None;
-            enumerate_programs(&g, &task.request, &config, &mut |expr, log_prior| {
+            enumerate_programs_stats(&g, &task.request, &config, &mut |expr, log_prior| {
                 position += 1;
                 if task.oracle.log_likelihood(&expr).is_finite() {
                     first = Some((position, -log_prior));

@@ -7,6 +7,7 @@
 
 use dc_grammar::enumeration::EnumerationConfig;
 use dc_tasks::domains::list::ListDomain;
+use dc_tasks::Domain;
 use dc_wakesleep::{Condition, DreamCoder, DreamCoderConfig};
 
 /// Wall clock removed from the loop, MAP fantasies bounded by nats, so
@@ -61,6 +62,23 @@ fn span_tree_shape_is_identical_across_thread_counts() {
             .iter()
             .any(|(path, _)| path == "cycle.total/cycle.wake/wake.search"),
         "expected wake.search spans nested under cycle.wake, got {single:?}"
+    );
+    // Held-out evaluation searches through `wake` too: one wake.search
+    // span per held-out task and cycle, under cycle.eval.
+    let calls = span_config(23).cycles as u64 * ListDomain::new(0).test_tasks().len() as u64;
+    assert!(
+        single.contains(&("cycle.total/cycle.eval/wake.search".to_owned(), calls)),
+        "expected {calls} wake.search spans under cycle.eval, got {single:?}"
+    );
+    let eval_children: Vec<&str> = single
+        .iter()
+        .filter_map(|(path, _)| path.strip_prefix("cycle.total/cycle.eval/"))
+        .filter(|name| !name.contains('/'))
+        .collect();
+    assert_eq!(
+        eval_children,
+        ["wake.predict", "wake.search"],
+        "held-out searches must have no span of their own"
     );
     assert!(
         single

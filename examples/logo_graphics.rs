@@ -6,7 +6,7 @@
 //! cargo run --release --example logo_graphics
 //! ```
 
-use dreamcoder::grammar::enumeration::{enumerate_programs, EnumerationConfig};
+use dreamcoder::grammar::enumeration::{enumerate_programs_stats, EnumerationConfig};
 use dreamcoder::grammar::Grammar;
 use dreamcoder::tasks::domains::logo::{rasterize, run_logo_program, LogoDomain, CANVAS};
 use dreamcoder::tasks::Domain;
@@ -57,7 +57,7 @@ fn main() {
             .find(|t| t.name == name)
             .expect("task exists");
         let mut found = None;
-        enumerate_programs(&grammar, &task.request, &config, &mut |expr, _| {
+        enumerate_programs_stats(&grammar, &task.request, &config, &mut |expr, _| {
             if task.oracle.log_likelihood(&expr).is_finite() {
                 found = Some(expr);
                 false

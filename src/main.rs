@@ -72,15 +72,77 @@ fn nats(max_budget: f64) -> EnumerationConfig {
     }
 }
 
-struct Args(Vec<String>);
+/// The flags `run` takes a value for.
+const RUN_VALUES: &[&str] = &[
+    "--domain",
+    "--cycles",
+    "--condition",
+    "--wake-nats",
+    "--test-nats",
+    "--fantasy-nats",
+    "--minibatch",
+    "--seed",
+    "--events",
+    "--threads",
+    "--checkpoint-dir",
+    "--checkpoint-keep",
+    "--summary-out",
+    "--status-addr",
+    "--trace-out",
+    "--log-level",
+];
+
+/// The flags `run` takes alone.
+const RUN_SWITCHES: &[&str] = &["--resume", "--map-fantasies"];
+
+/// The flags `solve` takes a value for.
+const SOLVE_VALUES: &[&str] = &["--domain", "--task", "--wake-nats"];
+
+/// A subcommand's flags, checked against the ones it knows.
+struct Args {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
 
 impl Args {
+    /// Parse the tokens after a subcommand. An unknown token, or a value
+    /// flag with no value after it, prints a message and gives `Err`.
+    fn parse(
+        tokens: &[String],
+        value_flags: &[&'static str],
+        switch_flags: &[&'static str],
+    ) -> Result<Args, ()> {
+        let mut args = Args {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut tokens = tokens.iter();
+        while let Some(token) = tokens.next() {
+            if let Some(&name) = value_flags.iter().find(|&&f| f == token) {
+                match tokens.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        args.values.push((name, value.clone()));
+                    }
+                    _ => {
+                        eprintln!("{name} needs a value");
+                        return Err(());
+                    }
+                }
+            } else if let Some(&name) = switch_flags.iter().find(|&&f| f == token) {
+                args.switches.push(name);
+            } else {
+                eprintln!("unknown argument {token:?}");
+                return Err(());
+            }
+        }
+        Ok(args)
+    }
+    /// A value flag's first value, if the flag was given.
     fn flag(&self, name: &str) -> Option<String> {
-        self.0
+        self.values
             .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .cloned()
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| value.clone())
     }
     /// A numeric flag's value, or `default` when the flag is absent. An
     /// unparsable value prints a message and gives `Err`.
@@ -94,7 +156,7 @@ impl Args {
     }
     /// Boolean flag: present or not, takes no value.
     fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
+        self.switches.contains(&name)
     }
 }
 
@@ -139,10 +201,9 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else {
+    let Some((cmd, tokens)) = argv.split_first() else {
         return usage();
     };
-    let args = Args(argv);
     match cmd.as_str() {
         "domains" => {
             println!("available domains:");
@@ -158,6 +219,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" => {
+            let Ok(args) = Args::parse(tokens, RUN_VALUES, RUN_SWITCHES) else {
+                return ExitCode::FAILURE;
+            };
             let Some(domain_name) = args.flag("--domain") else {
                 return usage();
             };
@@ -363,6 +427,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "solve" => {
+            let Ok(args) = Args::parse(tokens, SOLVE_VALUES, &[]) else {
+                return ExitCode::FAILURE;
+            };
             let Some(domain_name) = args.flag("--domain") else {
                 return usage();
             };

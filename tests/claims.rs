@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-use dreamcoder::grammar::enumeration::{enumerate_programs, EnumerationConfig};
+use dreamcoder::grammar::enumeration::{enumerate_programs_stats, EnumerationConfig};
 use dreamcoder::grammar::frontier::{Frontier, FrontierEntry};
 use dreamcoder::grammar::grammar::Grammar;
 use dreamcoder::grammar::library::Library;
@@ -349,7 +349,7 @@ fn symmetry_table() -> Vec<(String, f64, f64)> {
     // weighted by posterior. Keyed in value order, so SGD order and every
     // later draw from `rng` are fixed.
     let mut targets: BTreeMap<i64, Vec<(Expr, f64)>> = BTreeMap::new();
-    enumerate_programs(
+    enumerate_programs_stats(
         &grammar,
         &tint(),
         &EnumerationConfig::default(),

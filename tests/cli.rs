@@ -1,31 +1,81 @@
-//! The `dreamcoder` binary refuses a numeric flag it cannot parse instead
-//! of running with the flag's default.
+//! The `dreamcoder` binary refuses a command line it cannot read in full
+//! (a numeric flag it cannot parse, an unknown token, a value flag with
+//! no value) instead of running with defaults.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+/// Run the binary on `command`, split at spaces.
+fn dreamcoder(command: &str) -> Output {
+    // A run that wrongly went ahead would write its telemetry into the
+    // working directory, so keep that out of the repository.
+    Command::new(env!("CARGO_BIN_EXE_dreamcoder"))
+        .args(command.split(' '))
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("the binary starts")
+}
+
+/// Each command must exit 1 with a message containing its string.
+fn assert_refused(cases: &[(&str, &str)]) {
+    for &(message, command) in cases {
+        let output = dreamcoder(command);
+        assert_eq!(output.status.code(), Some(1), "{command:?} was not refused");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(message), "{command:?}: {stderr}");
+    }
+}
 
 #[test]
 fn unparsable_numeric_flags_are_errors() {
-    for (flag, command) in [
-        ("--cycles", "run --domain list --cycles 1x"),
-        ("--test-nats", "run --domain list --test-nats 1.2.3"),
+    assert_refused(&[
+        ("--cycles must be a number", "run --domain list --cycles 1x"),
         (
-            "--wake-nats",
+            "--test-nats must be a number",
+            "run --domain list --test-nats 1.2.3",
+        ),
+        (
+            "--wake-nats must be a number",
             "solve --domain list --task head --wake-nats 9x",
         ),
-    ] {
-        let args: Vec<&str> = command.split(' ').collect();
-        // A run that wrongly went ahead would write its telemetry into
-        // the working directory, so keep that out of the repository.
-        let output = Command::new(env!("CARGO_BIN_EXE_dreamcoder"))
-            .args(&args)
-            .current_dir(std::env::temp_dir())
-            .output()
-            .expect("the binary starts");
-        assert!(!output.status.success(), "{args:?} succeeded");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains(&format!("{flag} must be a number")),
-            "{args:?}: {stderr}"
-        );
-    }
+    ]);
+}
+
+#[test]
+fn unknown_arguments_are_errors() {
+    assert_refused(&[
+        (
+            "unknown argument \"--bogus-flag\"",
+            "run --domain list --cycles 0 --bogus-flag 7 --cycle 1",
+        ),
+        (
+            "unknown argument \"--cycle\"",
+            "run --domain list --cycles 0 --cycle 1",
+        ),
+        (
+            "unknown argument \"--resume\"",
+            "solve --domain list --task head --resume",
+        ),
+        (
+            "unknown argument \"stray\"",
+            "run --domain list --cycles 0 stray",
+        ),
+    ]);
+}
+
+#[test]
+fn value_flags_without_a_value_are_errors() {
+    assert_refused(&[
+        (
+            "--events needs a value",
+            "run --domain list --cycles 0 --events",
+        ),
+        (
+            "--summary-out needs a value",
+            "run --domain list --summary-out --cycles 0",
+        ),
+        (
+            "--wake-nats needs a value",
+            "solve --domain list --task head --wake-nats",
+        ),
+    ]);
 }

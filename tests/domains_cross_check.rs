@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use dreamcoder::grammar::enumeration::{enumerate_programs, EnumerationConfig};
+use dreamcoder::grammar::enumeration::{enumerate_programs_stats, EnumerationConfig};
 use dreamcoder::grammar::Grammar;
 use dreamcoder::tasks::domains::{
     list::ListDomain, logo::LogoDomain, origami::OrigamiDomain, physics::PhysicsDomain,
@@ -62,7 +62,7 @@ fn enumeration_typechecks_on_every_domain_request() {
                 ..EnumerationConfig::default()
             };
             let mut n = 0;
-            enumerate_programs(&grammar, &request, &cfg, &mut |e, _| {
+            enumerate_programs_stats(&grammar, &request, &cfg, &mut |e, _| {
                 n += 1;
                 assert!(
                     e.infer().is_ok(),

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dreamcoder::grammar::enumeration::{enumerate_top, EnumerationConfig};
+use dreamcoder::grammar::enumeration::{enumerate_programs_stats, EnumerationConfig};
 use dreamcoder::grammar::{eta_long, Grammar, Library};
 use dreamcoder::lambda::eval::run_program;
 use dreamcoder::lambda::primitives::base_primitives;
@@ -112,12 +112,15 @@ fn enumerated_programs_round_trip_through_eta_long() {
     let lib = Arc::new(Library::from_primitives(prims.iter().cloned()));
     let g = Grammar::uniform(lib);
     let t = Type::arrow(tlist(tint()), tlist(tint()));
-    for (e, lp) in enumerate_top(&g, &t, &EnumerationConfig::default(), 60) {
+    let mut n = 0;
+    enumerate_programs_stats(&g, &t, &EnumerationConfig::default(), &mut |e, lp| {
         // Enumerated programs are already η-long: eta_long is identity.
         let long = eta_long(&e, &t).expect("well-typed");
         assert_eq!(long, e, "enumeration emitted non-η-long {e}");
         assert!(lp.is_finite());
-    }
+        n += 1;
+        n < 60
+    });
 }
 
 #[test]

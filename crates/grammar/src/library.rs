@@ -182,7 +182,7 @@ impl BigramParent {
 
 /// Unnormalized log-weights for one choice point: a weight for "use a
 /// variable" plus one weight per production.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct WeightVector {
     /// Log-weight of choosing any bound variable.
     pub log_variable: f64,

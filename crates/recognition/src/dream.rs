@@ -1,8 +1,8 @@
-//! Building recognition-model training data from replays and fantasies
-//! (§4): the two self-supervised data sources of dream sleep.
+//! Building recognition-model training data from replays (§4), one of
+//! dream sleep's two self-supervised data sources; dream sleep builds
+//! the other, fantasies, itself.
 
 use dc_grammar::frontier::Frontier;
-use dc_lambda::types::Type;
 
 use crate::model::{Objective, TrainingExample};
 
@@ -37,24 +37,6 @@ pub fn replay_example(
         request: frontier.request.clone(),
         programs,
     })
-}
-
-/// Turn a dreamed (program, task-features) pair into a *fantasy* example.
-///
-/// For `L_MAP` fantasies the caller should pass the cheapest program found
-/// that reproduces the dreamed task (Appendix Algorithm 3 enumerates in
-/// decreasing prior order and keeps the argmax); passing the sampled
-/// program itself recovers the classic wake-sleep objective.
-pub fn fantasy_example(
-    features: Vec<f64>,
-    request: Type,
-    programs: Vec<(dc_lambda::expr::Expr, f64)>,
-) -> TrainingExample {
-    TrainingExample {
-        features,
-        request,
-        programs,
-    }
 }
 
 #[cfg(test)]

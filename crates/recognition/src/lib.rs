@@ -36,11 +36,8 @@ pub mod model;
 pub mod persist;
 pub mod tensor;
 
-pub use dream::{fantasy_example, replay_example};
+pub use dream::replay_example;
 pub use mlp::{ForwardTrace, Mlp};
 pub use model::{Objective, Parameterization, RecognitionModel, TrainingExample};
-pub use persist::{ModelLoadError, SavedBias, SavedRecognitionModel};
+pub use persist::{ModelLoadError, SavedRecognitionModel};
 pub use tensor::{Adam, Matrix};
-
-/// The prior-bias vector type (the generative grammar's weights `θ`).
-pub type WeightVectorBias = dc_grammar::library::WeightVector;

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use dc_grammar::grammar::{generation_trace, ContextualGrammar, GenEvent, Grammar};
-use dc_grammar::library::{logsumexp, BigramParent, Library};
+use dc_grammar::library::{logsumexp, BigramParent, Library, WeightVector};
 use dc_lambda::expr::Expr;
 use dc_lambda::types::Type;
 use rand::Rng;
@@ -61,7 +61,7 @@ pub struct RecognitionModel {
     /// these (typically the fitted generative weights `θ`), so an
     /// untrained network degrades gracefully to grammar-guided search
     /// instead of misleading it. No gradient flows into the bias.
-    prior_bias: Option<crate::WeightVectorBias>,
+    prior_bias: Option<WeightVector>,
 }
 
 /// The argument slots per parent and the output width of a head with
@@ -104,7 +104,7 @@ impl RecognitionModel {
     ///
     /// # Panics
     /// Panics when the bias length disagrees with the library size.
-    pub fn set_prior_bias(&mut self, bias: Option<crate::WeightVectorBias>) {
+    pub fn set_prior_bias(&mut self, bias: Option<WeightVector>) {
         if let Some(b) = &bias {
             assert_eq!(b.log_productions.len(), self.library.len());
         }
@@ -153,10 +153,7 @@ impl RecognitionModel {
             objective: self.objective,
             max_arity: self.max_arity,
             mlp: self.mlp.clone(),
-            prior_bias: self.prior_bias.as_ref().map(|b| crate::persist::SavedBias {
-                log_variable: b.log_variable,
-                log_productions: b.log_productions.clone(),
-            }),
+            prior_bias: self.prior_bias.clone(),
         }
     }
 
@@ -184,28 +181,21 @@ impl RecognitionModel {
                 expected,
             });
         }
-        let prior_bias = match saved.prior_bias {
-            Some(b) => {
-                if b.log_productions.len() != n {
-                    return Err(ModelLoadError::BiasMismatch {
-                        saved: b.log_productions.len(),
-                        expected: n,
-                    });
-                }
-                Some(crate::WeightVectorBias {
-                    log_variable: b.log_variable,
-                    log_productions: b.log_productions,
-                })
+        if let Some(b) = &saved.prior_bias {
+            if b.log_productions.len() != n {
+                return Err(ModelLoadError::BiasMismatch {
+                    saved: b.log_productions.len(),
+                    expected: n,
+                });
             }
-            None => None,
-        };
+        }
         Ok(RecognitionModel {
             library,
             parameterization: saved.parameterization,
             objective: saved.objective,
             max_arity: saved.max_arity,
             mlp: saved.mlp,
-            prior_bias,
+            prior_bias: saved.prior_bias,
         })
     }
 

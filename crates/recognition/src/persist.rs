@@ -8,20 +8,11 @@
 //! saved head dimensions, so a checkpoint cannot silently pair weights
 //! with the wrong production set.
 
+use dc_grammar::library::WeightVector;
 use serde::{Deserialize, Serialize};
 
 use crate::mlp::Mlp;
 use crate::model::{Objective, Parameterization};
-
-/// Serialized prior-bias vector (the generative weights `θ` the network
-/// predicts a residual on top of).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SavedBias {
-    /// Log-weight of choosing any bound variable.
-    pub log_variable: f64,
-    /// Per-production log weights.
-    pub log_productions: Vec<f64>,
-}
 
 /// Serialized form of a [`crate::RecognitionModel`] minus its library.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -34,8 +25,9 @@ pub struct SavedRecognitionModel {
     pub max_arity: usize,
     /// The network itself: weights, biases, and optimizer moments.
     pub mlp: Mlp,
-    /// Installed prior bias, if any.
-    pub prior_bias: Option<SavedBias>,
+    /// Installed prior bias (the generative weights `θ` the network
+    /// predicts a residual on top of), if any.
+    pub prior_bias: Option<WeightVector>,
 }
 
 /// Error restoring a recognition model against a library.
@@ -89,7 +81,7 @@ impl std::error::Error for ModelLoadError {}
 mod tests {
     use std::sync::Arc;
 
-    use dc_grammar::library::{Library, WeightVector};
+    use dc_grammar::library::Library;
     use dc_lambda::expr::Expr;
     use dc_lambda::primitives::base_primitives;
     use dc_lambda::types::tint;

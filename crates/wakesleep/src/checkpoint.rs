@@ -2,11 +2,14 @@
 //!
 //! At the end of every cycle the driver can serialize a [`Checkpoint`] —
 //! the grammar, all stored frontiers (as surface syntax), the recognition
-//! model's weights and optimizer moments, the RNG state, and the metrics
-//! accumulated so far — and write it atomically (temp file + `fsync` +
-//! rename) into a checkpoint directory. [`crate::DreamCoder::resume`]
-//! restores the run mid-trajectory; with wall-clock budgets disabled the
-//! resumed run is bit-identical to an uninterrupted one.
+//! model's weights and optimizer moments, how many words the seeded RNG
+//! has drawn, and the metrics accumulated so far — and write it
+//! atomically (temp file + `fsync` + rename) into a checkpoint directory.
+//! [`crate::DreamCoder::resume`] restores the run mid-trajectory,
+//! bit-identical to an uninterrupted one.
+//! Each fact is stored once: the RNG is the seed plus a word position,
+//! the inventions are the grammar's, and the cycle count is the number of
+//! per-cycle stats.
 
 use std::fs;
 use std::io::Write;
@@ -26,55 +29,10 @@ use crate::run::CycleStats;
 /// v3: the wall-clock solve times, per cycle and per trace, gave way to
 /// each trace's `programs_to_first_hit` and `first_hit_nats`.
 /// v4: a trace's `outcome` can no longer be `Timeout`.
-pub const CHECKPOINT_VERSION: u32 = 4;
-
-/// Serialized ChaCha8 generator state (see `rand_chacha::ChaCha8State`).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct SavedRngState {
-    /// Key words (8 entries).
-    pub key: Vec<u32>,
-    /// Block counter.
-    pub counter: u64,
-    /// Buffered keystream block (16 entries).
-    pub block: Vec<u32>,
-    /// Next unread word in `block`.
-    pub index: usize,
-}
-
-impl SavedRngState {
-    /// Snapshot a generator.
-    pub fn capture(rng: &rand_chacha::ChaCha8Rng) -> SavedRngState {
-        let s = rng.state();
-        SavedRngState {
-            key: s.key.to_vec(),
-            counter: s.counter,
-            block: s.block.to_vec(),
-            index: s.index,
-        }
-    }
-
-    /// Rebuild the generator this state was captured from.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Corrupt`] when the word vectors have the wrong
-    /// lengths (a mangled or hand-edited checkpoint).
-    pub fn restore(&self) -> Result<rand_chacha::ChaCha8Rng, CheckpointError> {
-        let key: [u32; 8] = self.key.as_slice().try_into().map_err(|_| {
-            CheckpointError::Corrupt(format!("rng key has {} words", self.key.len()))
-        })?;
-        let block: [u32; 16] = self.block.as_slice().try_into().map_err(|_| {
-            CheckpointError::Corrupt(format!("rng block has {} words", self.block.len()))
-        })?;
-        Ok(rand_chacha::ChaCha8Rng::from_state(
-            &rand_chacha::ChaCha8State {
-                key,
-                counter: self.counter,
-                block,
-                index: self.index,
-            },
-        ))
-    }
-}
+/// v5: the RNG is stored as `rng_word_pos`, its word position under
+/// `seed`; `inventions` and `cycles_completed` went, since the grammar
+/// and `stats` already say them.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// One stored frontier, keyed by its train-task index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -96,21 +54,24 @@ pub struct Checkpoint {
     pub condition: String,
     /// The run's RNG seed, validated on resume.
     pub seed: u64,
-    /// Cycles fully completed before this checkpoint was taken; resume
-    /// continues at this cycle index.
-    pub cycles_completed: usize,
     /// The generative model `(D, θ)`.
     pub grammar: SavedGrammar,
     /// All stored frontiers, sorted by task index.
     pub frontiers: Vec<TaskFrontier>,
     /// Recognition-model weights, when the condition trains one.
     pub recognition: Option<SavedRecognitionModel>,
-    /// RNG state at the end of the checkpointed cycle.
-    pub rng: SavedRngState,
-    /// Per-cycle metrics accumulated so far.
+    /// Words drawn from the seeded ChaCha8 stream by the end of the
+    /// checkpointed cycle.
+    pub rng_word_pos: u64,
+    /// Per-cycle metrics accumulated so far, one per completed cycle.
     pub stats: Vec<CycleStats>,
-    /// Invention names in discovery order.
-    pub inventions: Vec<String>,
+}
+
+/// The version stamp alone, read first so a file of another version is
+/// refused as such rather than as corrupt.
+#[derive(Deserialize)]
+struct VersionStamp {
+    version: u32,
 }
 
 /// Error writing, reading, or restoring a checkpoint.
@@ -173,6 +134,12 @@ fn parse_cycle(name: &str) -> Option<usize> {
 }
 
 impl Checkpoint {
+    /// Cycles fully completed before this checkpoint was taken; resume
+    /// continues at this cycle index.
+    pub fn cycles_completed(&self) -> usize {
+        self.stats.len()
+    }
+
     /// Write this checkpoint into `dir` atomically: serialize to a
     /// temporary file in the same directory, `fsync`, then rename onto
     /// `checkpoint-cycle-NNNNN.json`. A crash at any point leaves either
@@ -186,8 +153,8 @@ impl Checkpoint {
         fs::create_dir_all(dir)?;
         let json = serde_json::to_string(self)
             .map_err(|e| CheckpointError::Corrupt(format!("serialize failed: {e}")))?;
-        let final_path = dir.join(file_name(self.cycles_completed));
-        let tmp_path = dir.join(format!(".{}.tmp", file_name(self.cycles_completed)));
+        let final_path = dir.join(file_name(self.cycles_completed()));
+        let tmp_path = dir.join(format!(".{}.tmp", file_name(self.cycles_completed())));
         {
             let mut tmp = fs::File::create(&tmp_path)?;
             tmp.write_all(json.as_bytes())?;
@@ -200,7 +167,7 @@ impl Checkpoint {
             dc_telemetry::Level::Info,
             "checkpoint.written",
             &[
-                ("cycles_completed", self.cycles_completed.into()),
+                ("cycles_completed", self.cycles_completed().into()),
                 ("bytes", json.len().into()),
                 ("ms", (span.elapsed().as_millis() as u64).into()),
             ],
@@ -216,14 +183,13 @@ impl Checkpoint {
     /// [`CheckpointError::Version`].
     pub fn read(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let text = fs::read_to_string(path)?;
-        let ckpt: Checkpoint = serde_json::from_str(&text)
-            .map_err(|e| CheckpointError::Corrupt(format!("{}: {e}", path.display())))?;
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::Version {
-                found: ckpt.version,
-            });
+        let corrupt =
+            |e: serde_json::Error| CheckpointError::Corrupt(format!("{}: {e}", path.display()));
+        let VersionStamp { version } = serde_json::from_str(&text).map_err(corrupt)?;
+        if version != CHECKPOINT_VERSION {
+            return Err(CheckpointError::Version { found: version });
         }
-        Ok(ckpt)
+        serde_json::from_str(&text).map_err(corrupt)
     }
 }
 
@@ -287,7 +253,6 @@ pub fn prune_checkpoints(dir: &Path, keep: usize) -> Result<Vec<PathBuf>, std::i
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{RngCore, SeedableRng};
 
     fn dummy(cycles_completed: usize) -> Checkpoint {
         Checkpoint {
@@ -295,7 +260,6 @@ mod tests {
             domain: "list".into(),
             condition: "DreamCoder".into(),
             seed: 7,
-            cycles_completed,
             grammar: SavedGrammar {
                 primitives: vec!["+".into()],
                 inventions: vec![],
@@ -304,9 +268,18 @@ mod tests {
             },
             frontiers: vec![],
             recognition: None,
-            rng: SavedRngState::capture(&rand_chacha::ChaCha8Rng::seed_from_u64(7)),
-            stats: vec![],
-            inventions: vec![],
+            rng_word_pos: 0,
+            stats: (0..cycles_completed)
+                .map(|cycle| CycleStats {
+                    cycle,
+                    train_solved: 0,
+                    test_solved: 0.0,
+                    library_size: 1,
+                    library_depth: 0,
+                    new_inventions: vec![],
+                    search_traces: vec![],
+                })
+                .collect(),
         }
     }
 
@@ -325,7 +298,7 @@ mod tests {
         let latest = latest_checkpoint(&dir).unwrap().expect("some checkpoint");
         assert!(latest.ends_with("checkpoint-cycle-00003.json"));
         let back = Checkpoint::read(&latest).unwrap();
-        assert_eq!(back.cycles_completed, 3);
+        assert_eq!(back.cycles_completed(), 3);
         assert_eq!(back.seed, 7);
         // No stray temp files survive a successful write.
         let leftovers: Vec<_> = fs::read_dir(&dir)
@@ -370,6 +343,16 @@ mod tests {
             Checkpoint::read(&path),
             Err(CheckpointError::Version { found: 999 })
         ));
+        // A version-4 file has another shape (`cycles_completed`, `rng`,
+        // `inventions`): it is refused for its version, not as corrupt.
+        let v4 = r#"{"version":4,"domain":"list","condition":"DreamCoder","seed":7,
+            "cycles_completed":1,"rng":{"key":[],"counter":0,"block":[],"index":16},
+            "inventions":[]}"#;
+        fs::write(&path, v4).unwrap();
+        assert!(matches!(
+            Checkpoint::read(&path),
+            Err(CheckpointError::Version { found: 4 })
+        ));
         fs::write(&path, "{ not json").unwrap();
         assert!(matches!(
             Checkpoint::read(&path),
@@ -380,29 +363,5 @@ mod tests {
             Err(CheckpointError::Io(_))
         ));
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn rng_state_round_trips_through_json() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
-        for _ in 0..7 {
-            rng.next_u32();
-        }
-        let saved = SavedRngState::capture(&rng);
-        let json = serde_json::to_string(&saved).unwrap();
-        let back: SavedRngState = serde_json::from_str(&json).unwrap();
-        let mut restored = back.restore().unwrap();
-        let a: Vec<u64> = (0..32).map(|_| rng.next_u64()).collect();
-        let b: Vec<u64> = (0..32).map(|_| restored.next_u64()).collect();
-        assert_eq!(a, b);
-        // Wrong-length vectors are rejected, not misread.
-        let mangled = SavedRngState {
-            key: vec![0; 3],
-            ..saved
-        };
-        assert!(matches!(
-            mangled.restore(),
-            Err(CheckpointError::Corrupt(_))
-        ));
     }
 }

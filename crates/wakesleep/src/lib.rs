@@ -31,7 +31,7 @@ pub use checkpoint::{
     latest_checkpoint, prune_checkpoints, Checkpoint, CheckpointError, CHECKPOINT_VERSION,
 };
 pub use config::{Condition, DreamCoderConfig, RecognitionConfig};
-pub use report::{comparison_table, forensics_report, forensics_table, learning_curve, sparkline};
+pub use report::{forensics_report, forensics_table};
 pub use run::{CycleStats, DreamCoder, RunSummary};
 pub use sleep::{abstraction_sleep, dream_sleep, generate_fantasies, DreamStats};
 pub use wake::{search_task, wake, Guide, SearchOutcome, SearchTrace, TaskSearchResult};

@@ -1,22 +1,9 @@
-//! Plain-text reporting helpers: learning-curve sparklines, aligned
-//! tables (run comparisons here; the paper-claims test prints its
-//! measurements with [`table`]), and per-task search-forensics rendering.
+//! Plain-text reporting: aligned tables (the paper-claims test prints its
+//! measurements with [`table`]) and the per-task search forensics the CLI
+//! prints after a run.
 
 use crate::run::RunSummary;
 use crate::wake::SearchTrace;
-
-/// Render a unicode sparkline for a series in `[0, 1]`.
-pub fn sparkline(values: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    values
-        .iter()
-        .map(|v| {
-            let clamped = v.clamp(0.0, 1.0);
-            let idx = ((clamped * (BARS.len() - 1) as f64).round()) as usize;
-            BARS[idx.min(BARS.len() - 1)]
-        })
-        .collect()
-}
 
 /// Render an aligned two-dimensional table. The first row is the header.
 pub fn table(rows: &[Vec<String>]) -> String {
@@ -102,77 +89,10 @@ pub fn forensics_report(summary: &RunSummary) -> String {
     out
 }
 
-/// One-line learning curve for a run: test accuracy per cycle.
-pub fn learning_curve(summary: &RunSummary) -> String {
-    let series: Vec<f64> = summary.cycles.iter().map(|c| c.test_solved).collect();
-    format!(
-        "{:<18} {} ({:.0}% -> {:.0}%)",
-        summary.condition,
-        sparkline(&series),
-        100.0 * series.first().copied().unwrap_or(0.0),
-        100.0 * series.last().copied().unwrap_or(0.0),
-    )
-}
-
-/// Compare several runs as a table of per-cycle test accuracy.
-pub fn comparison_table(summaries: &[RunSummary]) -> String {
-    let cycles = summaries.iter().map(|s| s.cycles.len()).max().unwrap_or(0);
-    let mut rows = Vec::new();
-    let mut header = vec!["condition".to_owned()];
-    for c in 0..cycles {
-        header.push(format!("cycle {c}"));
-    }
-    header.push("library".to_owned());
-    rows.push(header);
-    for s in summaries {
-        let mut row = vec![s.condition.clone()];
-        for c in 0..cycles {
-            row.push(s.cycles.get(c).map_or_else(
-                || "-".to_owned(),
-                |st| format!("{:.1}%", 100.0 * st.test_solved),
-            ));
-        }
-        row.push(s.library.len().to_string());
-        rows.push(row);
-    }
-    table(&rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run::CycleStats;
-
-    fn summary(name: &str, accs: &[f64]) -> RunSummary {
-        RunSummary {
-            condition: name.to_owned(),
-            domain: "test".to_owned(),
-            cycles: accs
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| CycleStats {
-                    cycle: i,
-                    train_solved: 0,
-                    test_solved: a,
-                    library_size: 10,
-                    library_depth: 0,
-                    new_inventions: vec![],
-                    search_traces: vec![],
-                })
-                .collect(),
-            library: vec!["#f".to_owned()],
-            final_test_solved: accs.last().copied().unwrap_or(0.0),
-        }
-    }
-
-    #[test]
-    fn sparkline_maps_extremes() {
-        let s = sparkline(&[0.0, 1.0]);
-        assert_eq!(s.chars().count(), 2);
-        assert!(s.starts_with('▁'));
-        assert!(s.ends_with('█'));
-        assert_eq!(sparkline(&[]), "");
-    }
 
     #[test]
     fn table_aligns_columns() {
@@ -221,22 +141,23 @@ mod tests {
         assert!(t.contains("-3.25"));
         assert_eq!(forensics_table(&[]), "");
 
-        let mut s = summary("A", &[0.5]);
-        s.cycles[0].search_traces = traces;
-        let report = forensics_report(&s);
+        let summary = RunSummary {
+            condition: "A".to_owned(),
+            domain: "test".to_owned(),
+            cycles: vec![CycleStats {
+                cycle: 0,
+                train_solved: 0,
+                test_solved: 0.5,
+                library_size: 10,
+                library_depth: 0,
+                new_inventions: vec![],
+                search_traces: traces,
+            }],
+            library: vec![],
+            final_test_solved: 0.5,
+        };
+        let report = forensics_report(&summary);
         assert!(report.contains("cycle 0"));
         assert!(report.contains("impossible"));
-    }
-
-    #[test]
-    fn curves_and_comparisons_render() {
-        let a = summary("A", &[0.1, 0.2, 0.4]);
-        let b = summary("B", &[0.1, 0.1, 0.1]);
-        let curve = learning_curve(&a);
-        assert!(curve.contains("A"));
-        assert!(curve.contains("40%"));
-        let cmp = comparison_table(&[a, b]);
-        assert!(cmp.contains("cycle 2"));
-        assert!(cmp.contains("10.0%"));
     }
 }

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use dc_grammar::enumeration::EnumerationConfig;
 use dc_grammar::frontier::Frontier;
 use dc_grammar::grammar::Grammar;
+use dc_grammar::library::LibraryItem;
 use dc_recognition::RecognitionModel;
 use dc_tasks::domain::Domain;
 use dc_tasks::task::Task;
@@ -17,7 +18,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::Serialize;
 
-use crate::checkpoint::{self, Checkpoint, CheckpointError, SavedRngState, TaskFrontier};
+use crate::checkpoint::{self, Checkpoint, CheckpointError, TaskFrontier};
 use crate::config::DreamCoderConfig;
 use crate::sleep::{abstraction_sleep, dream_sleep};
 use crate::wake::{wake, Guide, SearchTrace, TaskSearchResult};
@@ -77,11 +78,9 @@ pub struct DreamCoder<'d> {
     /// Best frontiers per train-task index.
     pub frontiers: BTreeMap<usize, Frontier>,
     rng: rand_chacha::ChaCha8Rng,
-    inventions: Vec<String>,
-    /// Metrics for cycles completed so far (preloaded on resume).
+    /// Metrics for cycles completed so far (preloaded on resume); `run`
+    /// starts at cycle `stats.len()`.
     stats: Vec<CycleStats>,
-    /// First cycle index `run` executes (non-zero after resume).
-    start_cycle: usize,
 }
 
 impl<'d> DreamCoder<'d> {
@@ -111,16 +110,14 @@ impl<'d> DreamCoder<'d> {
             recognition,
             frontiers: BTreeMap::new(),
             rng,
-            inventions: Vec::new(),
             stats: Vec::new(),
-            start_cycle: 0,
         }
     }
 
     /// Restore a run mid-trajectory from a [`Checkpoint`]: the grammar,
     /// stored frontiers, recognition weights, RNG state, and accumulated
     /// metrics all pick up exactly where the checkpointed run left off.
-    /// `run` then continues at cycle `checkpoint.cycles_completed`.
+    /// `run` then continues at cycle `checkpoint.cycles_completed()`.
     ///
     /// # Errors
     /// [`CheckpointError::Mismatch`] when the checkpoint was taken under
@@ -195,14 +192,15 @@ impl<'d> DreamCoder<'d> {
             }
             None => None,
         };
-        let rng = ckpt.rng.restore()?;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(config.seed);
+        rng.set_word_pos(u128::from(ckpt.rng_word_pos));
         dc_telemetry::incr("checkpoint.resumes");
         dc_telemetry::event(
             dc_telemetry::Level::Info,
             "checkpoint.resumed",
             &[
                 ("domain", ckpt.domain.as_str().into()),
-                ("cycles_completed", ckpt.cycles_completed.into()),
+                ("cycles_completed", ckpt.cycles_completed().into()),
                 ("frontiers", ckpt.frontiers.len().into()),
             ],
         );
@@ -213,21 +211,18 @@ impl<'d> DreamCoder<'d> {
             recognition,
             frontiers,
             rng,
-            inventions: ckpt.inventions.clone(),
             stats: ckpt.stats.clone(),
-            start_cycle: ckpt.cycles_completed,
         })
     }
 
-    /// Snapshot the run's full mutable state after `cycles_completed`
-    /// cycles (see DESIGN.md §8 for the format contract).
-    pub fn checkpoint(&self, cycles_completed: usize) -> Checkpoint {
+    /// Snapshot the run's full mutable state after the cycles completed
+    /// so far (see DESIGN.md §8 for the format contract).
+    pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             version: checkpoint::CHECKPOINT_VERSION,
             domain: self.domain.name().to_owned(),
             condition: self.config.condition.label().to_owned(),
             seed: self.config.seed,
-            cycles_completed,
             grammar: save_grammar(&self.grammar),
             frontiers: self
                 .frontiers
@@ -238,9 +233,9 @@ impl<'d> DreamCoder<'d> {
                 })
                 .collect(),
             recognition: self.recognition.as_ref().map(RecognitionModel::to_saved),
-            rng: SavedRngState::capture(&self.rng),
+            // A run cannot draw 2^64 words.
+            rng_word_pos: self.rng.get_word_pos() as u64,
             stats: self.stats.clone(),
-            inventions: self.inventions.clone(),
         }
     }
 
@@ -266,7 +261,7 @@ impl<'d> DreamCoder<'d> {
 
     /// One wake phase over a random minibatch; merges new solutions into
     /// the stored frontiers. Returns the minibatch outcome.
-    pub fn wake_cycle(&mut self) -> Vec<(usize, TaskSearchResult)> {
+    fn wake_cycle(&mut self) -> Vec<(usize, TaskSearchResult)> {
         let train = self.domain.train_tasks();
         let mut indices: Vec<usize> = (0..train.len()).collect();
         indices.shuffle(&mut self.rng);
@@ -290,7 +285,7 @@ impl<'d> DreamCoder<'d> {
     }
 
     /// One abstraction sleep over all stored frontiers.
-    pub fn abstraction_cycle(&mut self) -> Vec<String> {
+    fn abstraction_cycle(&mut self) -> Vec<String> {
         if self.frontiers.is_empty() {
             return Vec::new();
         }
@@ -318,7 +313,6 @@ impl<'d> DreamCoder<'d> {
             .iter()
             .map(|s| s.invention.name.clone())
             .collect();
-        self.inventions.extend(new.clone());
         // The library changed: rebuild the recognition model's output head
         // over the new production set, keeping the learned hidden layers.
         if let Some(old) = self.recognition.take() {
@@ -334,8 +328,10 @@ impl<'d> DreamCoder<'d> {
     }
 
     /// One dream sleep (no-op when the condition has no recognition model).
-    pub fn dream_cycle(&mut self) -> Option<crate::sleep::DreamStats> {
-        let model = self.recognition.as_mut()?;
+    fn dream_cycle(&mut self) {
+        let Some(model) = self.recognition.as_mut() else {
+            return;
+        };
         let train = self.domain.train_tasks();
         // NeuralOnly (RobustFill-style) trains on samples from the *initial*
         // library: its grammar never changes, so this is the same call.
@@ -345,19 +341,19 @@ impl<'d> DreamCoder<'d> {
             .iter()
             .map(|(&i, f)| (&train[i], f))
             .collect();
-        Some(dream_sleep(
+        dream_sleep(
             model,
             self.domain,
             &self.grammar,
             &solved,
             &self.config.recognition,
             &mut self.rng,
-        ))
+        );
     }
 
     /// Evaluate on held-out test tasks, through the same search as the
     /// wake phase; returns the fraction solved.
-    pub fn evaluate(&self, tasks: &[Task], config: &EnumerationConfig) -> f64 {
+    fn evaluate(&self, tasks: &[Task], config: &EnumerationConfig) -> f64 {
         if tasks.is_empty() {
             return 0.0;
         }
@@ -372,7 +368,7 @@ impl<'d> DreamCoder<'d> {
     /// the returned summary covers the whole trajectory, restored cycles
     /// included.
     pub fn run(&mut self) -> RunSummary {
-        for cycle in self.start_cycle..self.config.cycles {
+        for cycle in self.stats.len()..self.config.cycles {
             // A requested interrupt (first Ctrl-C) is honored at cycle
             // granularity: the last completed cycle's checkpoint is the
             // resume point, so stopping between cycles loses nothing.
@@ -467,7 +463,7 @@ impl<'d> DreamCoder<'d> {
                 search_traces,
             });
             if let Some(dir) = self.config.checkpoint_dir.clone() {
-                let ckpt = self.checkpoint(cycle + 1);
+                let ckpt = self.checkpoint();
                 match ckpt.write_atomic(&dir) {
                     Ok(_) => {
                         dc_telemetry::set_status(
@@ -503,7 +499,12 @@ impl<'d> DreamCoder<'d> {
             condition: self.config.condition.label().to_owned(),
             domain: self.domain.name().to_owned(),
             cycles: self.stats.clone(),
-            library: self.inventions.clone(),
+            library: self
+                .grammar
+                .library
+                .inventions()
+                .map(LibraryItem::name)
+                .collect(),
             final_test_solved,
         }
     }

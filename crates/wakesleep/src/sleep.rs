@@ -10,7 +10,7 @@ use dc_grammar::library::Library;
 use dc_grammar::sample::sample_program_with_retries;
 use dc_lambda::expr::{Expr, Invented};
 use dc_lambda::types::Type;
-use dc_recognition::{fantasy_example, replay_example, RecognitionModel, TrainingExample};
+use dc_recognition::{replay_example, RecognitionModel, TrainingExample};
 use dc_tasks::domain::Domain;
 use dc_tasks::task::Task;
 use dc_vspace::{compress, joint_score, CompressionConfig, CompressionResult};
@@ -247,11 +247,11 @@ fn fantasy_attempt(
     } else {
         program
     };
-    Some(fantasy_example(
-        task.features,
-        request.clone(),
-        vec![(target, 1.0)],
-    ))
+    Some(TrainingExample {
+        features: task.features,
+        request: request.clone(),
+        programs: vec![(target, 1.0)],
+    })
 }
 
 /// Algorithm 3's inner step: enumerate in decreasing prior order and keep

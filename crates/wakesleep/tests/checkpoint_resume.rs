@@ -72,7 +72,7 @@ fn resume_after_interrupt_matches_uninterrupted_run() {
             .unwrap()
             .expect("checkpoint written");
         let ckpt = Checkpoint::read(&path).unwrap();
-        assert_eq!(ckpt.cycles_completed, 1);
+        assert_eq!(ckpt.cycles_completed(), 1);
         let domain = ListDomain::new(0);
         let mut dc =
             DreamCoder::resume(&domain, deterministic_config(Condition::Full, 3, 11), &ckpt)
@@ -95,7 +95,7 @@ fn checkpoint_survives_disk_round_trip_bit_for_bit() {
         let domain = ListDomain::new(0);
         let mut dc = DreamCoder::new(&domain, deterministic_config(condition, 1, 5));
         dc.run();
-        let ckpt = dc.checkpoint(1);
+        let ckpt = dc.checkpoint();
         assert!(!ckpt.frontiers.is_empty(), "should have solved something");
         assert!(
             ckpt.recognition.is_some(),
@@ -108,7 +108,7 @@ fn checkpoint_survives_disk_round_trip_bit_for_bit() {
         // recognition weights + Adam moments, and RNG state all survive.
         let resumed = DreamCoder::resume(&domain, deterministic_config(condition, 1, 5), &back)
             .expect("resume");
-        let again = resumed.checkpoint(1);
+        let again = resumed.checkpoint();
         assert_eq!(
             serde_json::to_string(&ckpt).unwrap(),
             serde_json::to_string(&again).unwrap(),
@@ -127,7 +127,7 @@ fn nested_inventions_survive_a_checkpoint() {
         deterministic_config(Condition::NoRecognition, 1, 3),
     );
     // Splice a two-layer library into the snapshot: quad calls double.
-    let mut ckpt = dc.checkpoint(0);
+    let mut ckpt = dc.checkpoint();
     let double_body = Expr::parse("(lambda (+ $0 $0))", prims).unwrap();
     let double = Invented::new("#(lambda (+ $0 $0))", double_body).unwrap();
     let quad_body = Expr::abstraction(Expr::application(
@@ -138,8 +138,6 @@ fn nested_inventions_survive_a_checkpoint() {
     ckpt.grammar.inventions.push(quad_body.to_string());
     ckpt.grammar.log_productions.push(-0.25);
     ckpt.grammar.log_productions.push(-1.5);
-    ckpt.inventions.push("#(lambda (+ $0 $0))".into());
-    ckpt.inventions.push(format!("#{quad_body}"));
 
     dc = DreamCoder::resume(
         &domain,
@@ -148,10 +146,16 @@ fn nested_inventions_survive_a_checkpoint() {
     )
     .expect("resume with nested inventions");
     assert_eq!(dc.grammar.library.depth(), 2, "nesting must survive");
-    let again = dc.checkpoint(0);
+    let again = dc.checkpoint();
     assert_eq!(
         serde_json::to_string(&ckpt).unwrap(),
         serde_json::to_string(&again).unwrap()
+    );
+    // The summary's library is the grammar's inventions, in order.
+    let library = dc.run().library;
+    assert_eq!(
+        library[..2],
+        ["#(lambda (+ $0 $0))".to_owned(), format!("#{quad_body}")]
     );
 }
 
@@ -159,7 +163,7 @@ fn nested_inventions_survive_a_checkpoint() {
 fn resume_rejects_mismatched_runs() {
     let domain = ListDomain::new(0);
     let dc = DreamCoder::new(&domain, deterministic_config(Condition::Full, 1, 5));
-    let ckpt = dc.checkpoint(0);
+    let ckpt = dc.checkpoint();
 
     let wrong_seed = deterministic_config(Condition::Full, 1, 6);
     assert!(matches!(

@@ -138,7 +138,7 @@ fn checkpoint_from_a_parallel_dream_resumes_identically_on_one_thread() {
     let resumed = rayon::with_max_threads(Some(1), || {
         let path = latest_checkpoint(&dir).unwrap().expect("checkpoint");
         let ckpt = Checkpoint::read(&path).unwrap();
-        assert_eq!(ckpt.cycles_completed, 1);
+        assert_eq!(ckpt.cycles_completed(), 1);
         let domain = ListDomain::new(0);
         let mut dc = DreamCoder::resume(&domain, dream_config(2, 29), &ckpt).expect("resume");
         serde_json::to_string(&dc.run()).unwrap()

@@ -22,8 +22,8 @@ use dreamcoder::tasks::domains::tower::TowerDomain;
 use dreamcoder::tasks::Domain;
 use dreamcoder::wakesleep::sleep::MAP_FANTASY_NATS;
 use dreamcoder::wakesleep::{
-    latest_checkpoint, search_task, Checkpoint, Condition, DreamCoder, DreamCoderConfig, Guide,
-    RecognitionConfig,
+    forensics_report, latest_checkpoint, search_task, Checkpoint, Condition, DreamCoder,
+    DreamCoderConfig, Guide, RecognitionConfig,
 };
 use std::sync::Arc;
 
@@ -356,7 +356,7 @@ fn main() -> ExitCode {
                         eprintln!(
                             "resuming from {} (after cycle {})",
                             path.display(),
-                            ckpt.cycles_completed
+                            ckpt.cycles_completed()
                         );
                         match DreamCoder::resume(domain.as_ref(), config, &ckpt) {
                             Ok(dc) => dc,
@@ -418,6 +418,7 @@ fn main() -> ExitCode {
                     println!("    invented {inv}");
                 }
             }
+            print!("{}", forensics_report(&summary));
             if dreamcoder::telemetry::interrupt_requested() {
                 // Conventional 128 + SIGINT so wrappers can tell a clean
                 // early stop from a normal completion.

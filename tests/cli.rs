@@ -1,6 +1,7 @@
 //! The `dreamcoder` binary refuses a command line it cannot read in full
 //! (a numeric flag it cannot parse, an unknown token, a value flag with
-//! no value) instead of running with defaults.
+//! no value) instead of running with defaults, and a run it does read
+//! explains each task's search.
 
 use std::process::{Command, Output};
 
@@ -78,4 +79,30 @@ fn value_flags_without_a_value_are_errors() {
             "solve --domain list --task head --wake-nats",
         ),
     ]);
+}
+
+#[test]
+fn a_run_prints_its_search_forensics() {
+    // A run writes `results/telemetry.json` into its working directory.
+    let dir = std::env::temp_dir().join(format!("dc-cli-forensics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_dreamcoder"))
+        .args(
+            "run --domain list --cycles 1 --condition enumeration \
+             --wake-nats 6 --test-nats 6 --minibatch 3"
+                .split_whitespace(),
+        )
+        .current_dir(&dir)
+        .output()
+        .expect("the binary starts");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let header = stdout
+        .lines()
+        .find(|line| line.starts_with("task "))
+        .unwrap_or_else(|| panic!("no forensics table in {stdout}"));
+    for column in ["outcome", "nats", "enum", "typed-out", "best logP"] {
+        assert!(header.contains(column), "{header}");
+    }
 }

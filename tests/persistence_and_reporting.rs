@@ -8,9 +8,7 @@ use dreamcoder::grammar::{load_grammar, save_grammar, Grammar};
 use dreamcoder::lambda::{pretty, Expr, Invented};
 use dreamcoder::tasks::domains::list::ListDomain;
 use dreamcoder::tasks::Domain;
-use dreamcoder::wakesleep::{
-    comparison_table, learning_curve, Condition, DreamCoder, DreamCoderConfig,
-};
+use dreamcoder::wakesleep::{forensics_report, Condition, DreamCoder, DreamCoderConfig};
 
 #[test]
 fn learned_grammar_round_trips_with_inventions() {
@@ -75,9 +73,7 @@ fn reporting_helpers_render_real_runs() {
     };
     let mut dc = DreamCoder::new(&domain, config);
     let summary = dc.run();
-    let curve = learning_curve(&summary);
-    assert!(curve.contains("Enumeration"));
-    let table = comparison_table(std::slice::from_ref(&summary));
-    assert!(table.contains("condition"));
-    assert!(table.contains("cycle 1"));
+    let report = forensics_report(&summary);
+    assert!(report.contains("cycle 1"));
+    assert!(report.contains("typed-out"));
 }

@@ -451,14 +451,19 @@ impl EvalCtx {
     /// # Errors
     /// See [`EvalCtx::eval`].
     pub fn run(&mut self, program: &Expr, inputs: &[Value]) -> Result<Value, EvalError> {
+        // Cached handles: wake search runs every enumerated program on
+        // each task of its group, so a registry lookup per run shows in
+        // the ≤5% instrumentation budget (DESIGN.md §10).
+        use dc_telemetry::CachedCounter;
+        static RUNS: CachedCounter = CachedCounter::new("eval.runs");
+        static FUEL_EXHAUSTED: CachedCounter = CachedCounter::new("eval.fuel_exhausted");
+        static ERRORS: CachedCounter = CachedCounter::new("eval.errors");
         let result = self.run_inner(program, inputs);
-        if dc_telemetry::is_enabled() {
-            dc_telemetry::incr("eval.runs");
-            match &result {
-                Ok(_) => {}
-                Err(EvalError::FuelExhausted) => dc_telemetry::incr("eval.fuel_exhausted"),
-                Err(_) => dc_telemetry::incr("eval.errors"),
-            }
+        RUNS.incr();
+        match &result {
+            Ok(_) => {}
+            Err(EvalError::FuelExhausted) => FUEL_EXHAUSTED.incr(),
+            Err(_) => ERRORS.incr(),
         }
         result
     }

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::config::Condition;
-use crate::wake::{isolate_panics, search_task, Guide};
+use crate::wake::{isolate_panics, search_task, Guide, SearchOutcome};
 
 /// Max depth of sampled fantasy programs.
 const SAMPLE_DEPTH: usize = 10;
@@ -209,7 +209,7 @@ pub fn generate_fantasies(
                 isolate_panics(
                     "dream.fantasy_panics",
                     "dream.fantasy_panic",
-                    ("slot", slot.into()),
+                    || ("slot", slot.into()),
                     || fantasy_attempt(domain, grammar, &requests, config, stream_key, slot),
                 )
                 .flatten()
@@ -242,8 +242,9 @@ fn fantasy_attempt(
     // Appendix Algorithm 3: with MAP fantasies, the training target is the
     // maximum-a-posteriori program found by a short enumeration on the
     // dreamed task, not the sampled program itself.
+    // A MAP search whose oracle panicked costs the slot.
     let target = if config.map_fantasies {
-        map_program_for(grammar, &task, config).unwrap_or(program)
+        map_program_for(grammar, &task, config)?.unwrap_or(program)
     } else {
         program
     };
@@ -258,19 +259,23 @@ fn fantasy_attempt(
 /// the program maximizing `P[x|rho] P[rho|D,theta]` for the dreamed task
 /// (a wake search with a beam of one).
 /// The search is bounded by `map_fantasy_budget` nats, or
-/// [`MAP_FANTASY_NATS`] when that is unset.
+/// [`MAP_FANTASY_NATS`] when that is unset. `None` when the task's oracle
+/// panicked; `Some(None)` when nothing within the bound solves the task.
 fn map_program_for(
     grammar: &Grammar,
     task: &Task,
     config: &crate::config::RecognitionConfig,
-) -> Option<Expr> {
+) -> Option<Option<Expr>> {
     let cfg = EnumerationConfig {
         max_budget: config.map_fantasy_budget.unwrap_or(MAP_FANTASY_NATS),
         ..EnumerationConfig::default()
     };
     let guide = Guide::Generative(grammar.clone());
     let result = search_task(task, &guide, grammar, 1, &cfg);
-    result.frontier.best().map(|e| e.expr.clone())
+    if result.trace.outcome == SearchOutcome::EvalPanic {
+        return None;
+    }
+    Some(result.frontier.best().map(|e| e.expr.clone()))
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! The wake phase (§2.4): search for programs with high posterior
 //! `P[ρ|x] ∝ P[x|ρ] P[ρ|D,θ]` for each task in the minibatch, guided
 //! either by the generative grammar or by the recognition model's
-//! predicted bigram tensor. Tasks search in parallel (the paper's
-//! multi-CPU wake; see DESIGN.md).
+//! predicted bigram tensor. Tasks that share a generative grammar and a
+//! request share one enumeration, as the paper's solver does; groups
+//! search in parallel (the paper's multi-CPU wake; see DESIGN.md).
 
-use dc_grammar::enumeration::{enumerate_programs_stats, EnumerationConfig};
+use dc_grammar::enumeration::{enumerate_programs_stats, EnumerationConfig, EnumerationStats};
 use dc_grammar::frontier::{Frontier, FrontierEntry};
 use dc_grammar::grammar::{ContextualGrammar, Grammar, ProgramPrior};
 use dc_tasks::task::Task;
@@ -54,6 +55,11 @@ impl SearchOutcome {
 /// Per-task, per-cycle search forensics: enough to explain *why* a task
 /// was or wasn't solved without re-running the cycle. Recorded by every
 /// wake search and surfaced in the per-cycle report JSON.
+///
+/// Tasks in one search group (see [`wake`]) share one program stream:
+/// `nats_frontier`, `programs_enumerated` and `typed_out` describe that
+/// stream and are equal across the group. Every other field is the
+/// task's own.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchTrace {
     /// Task name.
@@ -61,13 +67,14 @@ pub struct SearchTrace {
     /// How the search ended.
     pub outcome: SearchOutcome,
     /// Nats frontier completed: every program cheaper than this bound
-    /// (under the guiding prior) was enumerated.
+    /// (under the guiding prior) was enumerated. Shared by the group.
     pub nats_frontier: f64,
-    /// Candidate programs enumerated.
+    /// Candidate programs enumerated. Shared by the group.
     pub programs_enumerated: usize,
-    /// Candidates actually run against the task's examples.
+    /// Candidates actually run against this task's examples.
     pub programs_evaluated: usize,
     /// Candidate heads rejected by unification before enumeration.
+    /// Shared by the group.
     pub typed_out: u64,
     /// Best `log P[ρ|D,θ] + log P[x|ρ]` in the final beam, if any.
     pub best_log_posterior: Option<f64>,
@@ -108,9 +115,18 @@ pub struct TaskSearchResult {
     pub trace: SearchTrace,
 }
 
-/// Search one task: enumerate programs under `guide`, score hits under the
-/// generative `scorer` (frontier priors are always `log P[ρ|D,θ]`, per the
-/// beam objective of Eq. 3).
+impl TaskSearchResult {
+    /// The result of a search its evaluator panicked in: an empty beam.
+    fn evaluator_panic(task: &Task) -> TaskSearchResult {
+        TaskSearchResult {
+            frontier: Frontier::new(task.request.clone()),
+            trace: SearchTrace::evaluator_panic(task),
+        }
+    }
+}
+
+/// Search one task: [`wake`] on a group of one, without its span. A panic
+/// in the task's oracle comes back as [`SearchOutcome::EvalPanic`].
 pub fn search_task(
     task: &Task,
     guide: &Guide,
@@ -118,55 +134,141 @@ pub fn search_task(
     beam_size: usize,
     config: &EnumerationConfig,
 ) -> TaskSearchResult {
-    let mut frontier = Frontier::new(task.request.clone());
-    let mut first_hit = None;
-    let mut evaluated = 0usize;
-    let stats = enumerate_programs_stats(guide.prior(), &task.request, config, &mut |expr, ll| {
-        evaluated += 1;
-        let log_likelihood = task.oracle.log_likelihood(&expr);
-        if log_likelihood.is_finite() {
-            first_hit.get_or_insert((evaluated, -ll));
-            let log_prior = scorer.log_prior(&task.request, &expr);
-            frontier.insert(
-                FrontierEntry {
-                    expr,
-                    log_likelihood,
-                    log_prior,
-                },
-                beam_size,
-            );
+    let mut results = search_group(&[task], guide, scorer, beam_size, config);
+    results.pop().expect("one result per task")
+}
+
+/// One task's side of a group search.
+struct Member<'t> {
+    task: &'t Task,
+    frontier: Frontier,
+    evaluated: usize,
+    /// `(position in the stream, -log prior under the guide)` of the
+    /// first hit.
+    first_hit: Option<(usize, f64)>,
+    panicked: bool,
+}
+
+impl Member<'_> {
+    fn finish(self, stats: &EnumerationStats) -> TaskSearchResult {
+        if self.panicked {
+            return TaskSearchResult::evaluator_panic(self.task);
         }
-        true
-    });
-    let best = frontier.best();
-    let outcome = if best.is_some() {
-        SearchOutcome::Solved
-    } else {
-        SearchOutcome::BudgetExhausted
-    };
-    let trace = SearchTrace {
-        task: task.name.clone(),
-        outcome,
-        nats_frontier: stats.frontier_nats,
-        programs_enumerated: stats.programs,
-        programs_evaluated: evaluated,
-        typed_out: stats.typed_out,
-        best_log_posterior: best.map(|e| e.log_posterior()),
-        hit_depth: best.map(|e| e.expr.depth()),
-        programs_to_first_hit: first_hit.map(|(programs, _)| programs),
-        first_hit_nats: first_hit.map(|(_, nats)| nats),
-    };
-    TaskSearchResult { frontier, trace }
+        let best = self.frontier.best();
+        let outcome = if best.is_some() {
+            SearchOutcome::Solved
+        } else {
+            SearchOutcome::BudgetExhausted
+        };
+        let trace = SearchTrace {
+            task: self.task.name.clone(),
+            outcome,
+            nats_frontier: stats.frontier_nats,
+            programs_enumerated: stats.programs,
+            programs_evaluated: self.evaluated,
+            typed_out: stats.typed_out,
+            best_log_posterior: best.map(|e| e.log_posterior()),
+            hit_depth: best.map(|e| e.expr.depth()),
+            programs_to_first_hit: self.first_hit.map(|(programs, _)| programs),
+            first_hit_nats: self.first_hit.map(|(_, nats)| nats),
+        };
+        TaskSearchResult {
+            frontier: self.frontier,
+            trace,
+        }
+    }
+}
+
+/// Search `tasks`, which share `request` and `guide`, with one
+/// enumeration under `guide`: every program is run against each task
+/// still searching, and each hit is scored once under the generative
+/// `scorer` (frontier priors are always `log P[ρ|D,θ]`, per the beam
+/// objective of Eq. 3) into the beam of each task it hits.
+///
+/// A task whose oracle panics takes no further part and gets the
+/// [`SearchOutcome::EvalPanic`] result; the stream stops once no task is
+/// left. A panic outside the oracles gives every task that result.
+fn search_group(
+    tasks: &[&Task],
+    guide: &Guide,
+    scorer: &Grammar,
+    beam_size: usize,
+    config: &EnumerationConfig,
+) -> Vec<TaskSearchResult> {
+    let request = &tasks[0].request;
+    let searched = isolate_panics(
+        "wake.task_panics",
+        "wake.task_panic",
+        || {
+            let names: Vec<&str> = tasks.iter().map(|t| t.name.as_str()).collect();
+            ("task", names.join(", ").into())
+        },
+        || {
+            let mut members: Vec<Member> = tasks
+                .iter()
+                .map(|&task| Member {
+                    task,
+                    frontier: Frontier::new(request.clone()),
+                    evaluated: 0,
+                    first_hit: None,
+                    panicked: false,
+                })
+                .collect();
+            let mut live = members.len();
+            let stats =
+                enumerate_programs_stats(guide.prior(), request, config, &mut |expr, ll| {
+                    let mut log_prior = None;
+                    for member in members.iter_mut().filter(|m| !m.panicked) {
+                        member.evaluated += 1;
+                        let task = member.task;
+                        let Some(log_likelihood) = isolate_panics(
+                            "wake.task_panics",
+                            "wake.task_panic",
+                            || ("task", task.name.as_str().into()),
+                            || task.oracle.log_likelihood(&expr),
+                        ) else {
+                            member.panicked = true;
+                            live -= 1;
+                            continue;
+                        };
+                        if log_likelihood.is_finite() {
+                            member.first_hit.get_or_insert((member.evaluated, -ll));
+                            let log_prior =
+                                *log_prior.get_or_insert_with(|| scorer.log_prior(request, &expr));
+                            member.frontier.insert(
+                                FrontierEntry {
+                                    expr: expr.clone(),
+                                    log_likelihood,
+                                    log_prior,
+                                },
+                                beam_size,
+                            );
+                        }
+                    }
+                    live > 0
+                });
+            members
+                .into_iter()
+                .map(|member| member.finish(&stats))
+                .collect()
+        },
+    );
+    searched.unwrap_or_else(|| {
+        tasks
+            .iter()
+            .map(|&task| TaskSearchResult::evaluator_panic(task))
+            .collect()
+    })
 }
 
 /// Run `attempt` with panic isolation: a panic in it is counted in
-/// `counter` and reported as a warning `event` carrying `field` and the
-/// panic message, and comes back as `None` instead of unwinding through
-/// the caller.
+/// `counter` and reported as a warning `event` carrying the field that
+/// `field` builds (only on a panic) and the panic message, and comes back
+/// as `None` instead of unwinding through the caller.
 pub(crate) fn isolate_panics<T>(
     counter: &'static str,
     event: &str,
-    field: (&str, dc_telemetry::FieldValue),
+    field: impl FnOnce() -> (&'static str, dc_telemetry::FieldValue),
     attempt: impl FnOnce() -> T,
 ) -> Option<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt))
@@ -180,18 +282,45 @@ pub(crate) fn isolate_panics<T>(
             dc_telemetry::event(
                 dc_telemetry::Level::Warn,
                 event,
-                &[field, ("message", message.into())],
+                &[field(), ("message", message.into())],
             );
         })
         .ok()
 }
 
-/// Search a batch of tasks in parallel, each with [`search_task`] under
-/// its own guide and in its own `wake.search` span. Training and held-out
-/// tasks both search here. Each search is panic-isolated: a panicking
-/// evaluator (a poisoned oracle, an arithmetic edge case deep in a
-/// domain) costs its own task an **empty frontier** and a
-/// `wake.task_panic` event, not the cycle.
+/// Split task indices into search groups, in first-task order: tasks
+/// whose guides are the same generative grammar and whose requests are
+/// equal form one group; each recognition-guided task is a group of one.
+fn group_tasks(tasks: &[&Task], guides: &[Guide]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (idx, task) in tasks.iter().enumerate() {
+        let joins = |group: &&mut Vec<usize>| match (&guides[group[0]], &guides[idx]) {
+            (Guide::Generative(a), Guide::Generative(b)) => {
+                tasks[group[0]].request == task.request && a == b
+            }
+            _ => false,
+        };
+        match groups.iter_mut().find(joins) {
+            Some(group) => group.push(idx),
+            None => groups.push(vec![idx]),
+        }
+    }
+    groups
+}
+
+/// Search a batch of tasks, each under its own guide; training and
+/// held-out tasks both search here. Tasks are grouped first (generative
+/// guides with equal grammars and equal requests share a group, formed
+/// in task order; a recognition guide is a group of one), and each group
+/// enumerates once and tests every program against each of its tasks.
+/// Groups search in parallel, each in its own `wake.search` span whose
+/// `tasks` field is the group's size. Results come back in task order,
+/// so they do not depend on the thread count.
+///
+/// Each oracle call is panic-isolated: a panicking evaluator (a poisoned
+/// oracle, an arithmetic edge case deep in a domain) costs its own task
+/// an **empty frontier** and one `wake.task_panic` event, not its group
+/// or the cycle.
 pub fn wake(
     tasks: &[&Task],
     guides: &[Guide],
@@ -200,29 +329,32 @@ pub fn wake(
     config: &EnumerationConfig,
 ) -> Vec<TaskSearchResult> {
     assert_eq!(tasks.len(), guides.len(), "one guide per task");
+    let groups = group_tasks(tasks, guides);
     // Worker threads start with empty span stacks; carry the caller's
-    // innermost span in by handle so per-task spans nest under the phase.
+    // innermost span in by handle so per-group spans nest under the phase.
     let parent = dc_telemetry::current_span();
-    (0..tasks.len())
+    let searched: Vec<Vec<TaskSearchResult>> = (0..groups.len())
         .into_par_iter()
-        .map(|idx| {
-            let task = tasks[idx];
+        .map(|g| {
+            let members = &groups[g];
             let _span = dc_telemetry::span_under_with_fields(
                 parent,
                 "wake.search",
-                &[("task", idx.into())],
+                &[("task", members[0].into()), ("tasks", members.len().into())],
             );
-            isolate_panics(
-                "wake.task_panics",
-                "wake.task_panic",
-                ("task", task.name.as_str().into()),
-                || search_task(task, &guides[idx], scorer, beam_size, config),
-            )
-            .unwrap_or_else(|| TaskSearchResult {
-                frontier: Frontier::new(task.request.clone()),
-                trace: SearchTrace::evaluator_panic(task),
-            })
+            let group: Vec<&Task> = members.iter().map(|&idx| tasks[idx]).collect();
+            search_group(&group, &guides[members[0]], scorer, beam_size, config)
         })
+        .collect();
+    let mut results: Vec<Option<TaskSearchResult>> = vec![None; tasks.len()];
+    for (members, group) in groups.iter().zip(searched) {
+        for (&idx, result) in members.iter().zip(group) {
+            results[idx] = Some(result);
+        }
+    }
+    results
+        .into_iter()
+        .map(|result| result.expect("every task is in one group"))
         .collect()
 }
 
@@ -357,18 +489,36 @@ mod tests {
             features: vec![],
             examples: vec![],
         };
+        let guide = Guide::Generative(g.clone());
+        let solo = search_task(&healthy, &guide, &g, 5, &nats(13.5));
+        // The two tasks share a grammar and a request, so they share one
+        // search group and one program stream.
+        let tasks = [&healthy, &poisoned];
+        assert_eq!(
+            group_tasks(&tasks, &[guide.clone(), guide.clone()]).len(),
+            1
+        );
+        dc_telemetry::enable();
+        let panics = dc_telemetry::counter("wake.task_panics");
+        let before = panics.value();
         // Quiet the default per-panic stderr backtrace for this test.
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let tasks = [&healthy, &poisoned];
-        let guides = vec![Guide::Generative(g.clone()), Guide::Generative(g.clone())];
-        let results = wake(&tasks, &guides, &g, 5, &nats(13.5));
+        let results = wake(&tasks, &[guide.clone(), guide], &g, 5, &nats(13.5));
         std::panic::set_hook(prev_hook);
+        assert_eq!(
+            panics.value() - before,
+            1,
+            "one panic per poisoned task, not one per program"
+        );
         assert_eq!(results.len(), 2);
         assert!(
             !results[0].frontier.is_empty(),
             "healthy task must still be solved"
         );
+        assert_eq!(results[0].frontier, solo.frontier);
+        assert_eq!(results[0].trace, solo.trace);
+        assert_eq!(results[1].trace.outcome, SearchOutcome::EvalPanic);
         assert!(results[1].frontier.is_empty(), "poisoned task yields empty");
         assert!(results[1].trace.programs_to_first_hit.is_none());
     }

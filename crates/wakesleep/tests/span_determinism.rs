@@ -5,10 +5,13 @@
 //! on thread identity, so the aggregated tree is part of the §8
 //! determinism contract even though per-span durations are wall clock.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
+
 use dc_grammar::enumeration::EnumerationConfig;
 use dc_tasks::domains::list::ListDomain;
 use dc_tasks::Domain;
-use dc_wakesleep::{Condition, DreamCoder, DreamCoderConfig};
+use dc_wakesleep::{Condition, DreamCoder, DreamCoderConfig, RunSummary};
 
 /// Wall clock removed from the loop, MAP fantasies bounded by nats, so
 /// the amount of work — and therefore every span count — is seeded.
@@ -43,20 +46,33 @@ fn span_config(seed: u64) -> DreamCoderConfig {
     }
 }
 
+/// Run `config` on the list domain with at most `cap` worker threads;
+/// return the run's span shape and its summary. Spans are process-wide,
+/// so the runs of this file's tests take turns.
+fn shape_with(config: &DreamCoderConfig, cap: usize) -> (Vec<(String, u64)>, RunSummary) {
+    static SPANS: Mutex<()> = Mutex::new(());
+    let _turn = SPANS.lock().unwrap_or_else(|e| e.into_inner());
+    dc_telemetry::enable();
+    dc_telemetry::reset_spans();
+    let summary = rayon::with_max_threads(Some(cap), || {
+        let domain = ListDomain::new(0);
+        DreamCoder::new(&domain, config.clone()).run()
+    });
+    (dc_telemetry::span_shape(), summary)
+}
+
+/// Calls recorded for the span at `path`, or 0.
+fn calls(shape: &[(String, u64)], path: &str) -> u64 {
+    shape
+        .iter()
+        .find(|(p, _)| p == path)
+        .map_or(0, |&(_, calls)| calls)
+}
+
 #[test]
 fn span_tree_shape_is_identical_across_thread_counts() {
-    dc_telemetry::enable();
-    let shape_with = |cap: usize| {
-        dc_telemetry::reset_spans();
-        rayon::with_max_threads(Some(cap), || {
-            let domain = ListDomain::new(0);
-            let mut dc = DreamCoder::new(&domain, span_config(23));
-            dc.run();
-        });
-        dc_telemetry::span_shape()
-    };
-    let single = shape_with(1);
-    let many = shape_with(4);
+    let (single, _) = shape_with(&span_config(23), 1);
+    let (many, _) = shape_with(&span_config(23), 4);
     assert!(
         single
             .iter()
@@ -89,5 +105,60 @@ fn span_tree_shape_is_identical_across_thread_counts() {
     assert_eq!(
         single, many,
         "span tree shape diverged between 1 and 4 worker threads"
+    );
+}
+
+#[test]
+fn generative_wake_searches_once_per_request() {
+    // Without a recognition model every task is guided by the generative
+    // grammar, so `wake` groups each minibatch by request: one
+    // `wake.search` span per distinct request, at any thread count.
+    let config = DreamCoderConfig {
+        condition: Condition::NoRecognition,
+        ..span_config(23)
+    };
+    let (single, summary) = shape_with(&config, 1);
+    let (many, _) = shape_with(&config, 4);
+    assert_eq!(
+        single, many,
+        "span tree shape diverged between 1 and 4 worker threads"
+    );
+
+    let domain = ListDomain::new(0);
+    let requests: BTreeMap<&str, String> = domain
+        .train_tasks()
+        .iter()
+        .map(|t| (t.name.as_str(), t.request.to_string()))
+        .collect();
+    let wake_groups: usize = summary
+        .cycles
+        .iter()
+        .map(|cycle| {
+            let minibatch: BTreeSet<&String> = cycle
+                .search_traces
+                .iter()
+                .map(|trace| &requests[trace.task.as_str()])
+                .collect();
+            minibatch.len()
+        })
+        .sum();
+    assert!(
+        wake_groups < config.cycles * config.minibatch,
+        "some minibatch tasks must share a request"
+    );
+    assert_eq!(
+        calls(&single, "cycle.total/cycle.wake/wake.search"),
+        wake_groups as u64,
+        "one wake.search span per distinct request in each minibatch"
+    );
+    let held_out: BTreeSet<String> = domain
+        .test_tasks()
+        .iter()
+        .map(|t| t.request.to_string())
+        .collect();
+    assert_eq!(
+        calls(&single, "cycle.total/cycle.eval/wake.search"),
+        (config.cycles * held_out.len()) as u64,
+        "one held-out wake.search span per distinct request and cycle"
     );
 }

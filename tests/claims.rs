@@ -43,7 +43,7 @@ use dreamcoder::tasks::Domain;
 use dreamcoder::vspace::{compress, CompressionConfig, CompressionStep, SpaceArena};
 use dreamcoder::wakesleep::report::table;
 use dreamcoder::wakesleep::{
-    abstraction_sleep, search_task, Condition, DreamCoder, DreamCoderConfig, Guide,
+    abstraction_sleep, search_task, wake, Condition, DreamCoder, DreamCoderConfig, Guide,
     RecognitionConfig, RunSummary,
 };
 use rand::{Rng, SeedableRng};
@@ -980,14 +980,11 @@ fn e12_refactoring_invents_fold_where_ec_invents_nothing() {
     let mut outcomes = Vec::new();
     for condition in [Condition::NoRecognition, Condition::Ec] {
         let result = abstraction_sleep(&library, &frontiers, &cfg, condition);
-        let guide = Guide::Generative(result.grammar.clone());
-        let solved: Vec<String> = unseeded
-            .iter()
-            .filter(|t| {
-                let r = search_task(t, &guide, &result.grammar, 1, &search);
-                r.frontier.best().is_some()
-            })
-            .map(|t| t.name.clone())
+        let guides = vec![Guide::Generative(result.grammar.clone()); unseeded.len()];
+        let solved: Vec<String> = wake(&unseeded, &guides, &result.grammar, 1, &search)
+            .into_iter()
+            .filter(|r| r.frontier.best().is_some())
+            .map(|r| r.trace.task)
             .collect();
         let inventions = invention_names(&result.steps);
         rows.push(vec![

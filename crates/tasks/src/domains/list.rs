@@ -315,6 +315,23 @@ impl Domain for ListDomain {
     }
 }
 
+/// Reference solutions to some of the list tasks, by task name.
+pub fn ground_truth_programs() -> Vec<(&'static str, String)> {
+    [
+        ("add1 to each", "(lambda (map (lambda (+ $0 1)) $0))"),
+        ("double each", "(lambda (map (lambda (+ $0 $0)) $0))"),
+        ("length", "(lambda (length $0))"),
+        ("sum", "(lambda (fold $0 0 (lambda (lambda (+ $0 $1)))))"),
+        ("head", "(lambda (car $0))"),
+        ("tail", "(lambda (cdr $0))"),
+        ("is empty", "(lambda (is-nil $0))"),
+        ("prepend zero", "(lambda (cons 0 $0))"),
+    ]
+    .into_iter()
+    .map(|(name, src)| (name, src.to_owned()))
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,18 +355,8 @@ mod tests {
     fn ground_truth_programs_solve_their_tasks() {
         let d = ListDomain::new(1);
         let prims = d.primitives();
-        let solutions = [
-            ("add1 to each", "(lambda (map (lambda (+ $0 1)) $0))"),
-            ("double each", "(lambda (map (lambda (+ $0 $0)) $0))"),
-            ("length", "(lambda (length $0))"),
-            ("sum", "(lambda (fold $0 0 (lambda (lambda (+ $0 $1)))))"),
-            ("head", "(lambda (car $0))"),
-            ("tail", "(lambda (cdr $0))"),
-            ("is empty", "(lambda (is-nil $0))"),
-            ("prepend zero", "(lambda (cons 0 $0))"),
-        ];
-        for (name, src) in solutions {
-            let program = Expr::parse(src, prims).unwrap();
+        for (name, src) in ground_truth_programs() {
+            let program = Expr::parse(&src, prims).unwrap();
             for task in d.train_tasks().iter().chain(d.test_tasks()) {
                 if task.name == name {
                     assert!(task.check(&program), "{src} fails task {name}");

@@ -226,6 +226,29 @@ impl Domain for TextDomain {
     }
 }
 
+/// Reference solutions to some of the text tasks, by task name.
+pub fn ground_truth_programs() -> Vec<(&'static str, String)> {
+    [
+        ("uppercase", "(lambda (str-upper $0))"),
+        ("first word", "(lambda (car (str-split space $0)))"),
+        ("drop first character", "(lambda (str-drop 1 $0))"),
+        ("first character", "(lambda (str-take 1 $0))"),
+        ("year of date", "(lambda (car (str-split dash $0)))"),
+        ("double the string", "(lambda (str-append $0 $0))"),
+        (
+            "date with dots",
+            "(lambda (str-join dot (str-split dash $0)))",
+        ),
+        (
+            "first word uppercased",
+            "(lambda (str-upper (car (str-split space $0))))",
+        ),
+    ]
+    .into_iter()
+    .map(|(name, src)| (name, src.to_owned()))
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,25 +264,9 @@ mod tests {
     fn ground_truth_programs_solve_tasks() {
         let d = TextDomain::new(1);
         let prims = d.primitives();
-        let cases = [
-            ("uppercase", "(lambda (str-upper $0))"),
-            ("first word", "(lambda (car (str-split space $0)))"),
-            ("drop first character", "(lambda (str-drop 1 $0))"),
-            ("first character", "(lambda (str-take 1 $0))"),
-            ("year of date", "(lambda (car (str-split dash $0)))"),
-            ("double the string", "(lambda (str-append $0 $0))"),
-            (
-                "date with dots",
-                "(lambda (str-join dot (str-split dash $0)))",
-            ),
-            (
-                "first word uppercased",
-                "(lambda (str-upper (car (str-split space $0))))",
-            ),
-        ];
-        for (name, src) in cases {
-            let program =
-                Expr::parse(src, prims).unwrap_or_else(|e| panic!("parse failure for {name}: {e}"));
+        for (name, src) in ground_truth_programs() {
+            let program = Expr::parse(&src, prims)
+                .unwrap_or_else(|e| panic!("parse failure for {name}: {e}"));
             let task = d
                 .train_tasks()
                 .iter()

@@ -38,5 +38,5 @@ pub mod invert;
 pub mod space;
 
 pub use compress::{compress, joint_score, CompressionConfig, CompressionResult, CompressionStep};
-pub use extract::{Extraction, ExtractionMemo, Matcher};
+pub use extract::{CandidateExtractor, Extraction, ExtractionMemo, Matcher};
 pub use space::{SpaceArena, SpaceId, SpaceNode};

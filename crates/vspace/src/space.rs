@@ -70,6 +70,21 @@ impl SpaceArena {
         &self.nodes[id]
     }
 
+    /// Free the inversion operators' memo tables, which hold far more
+    /// entries than the spaces they built. Nodes and ids are unchanged; a
+    /// later inversion starts from cold memos and finds the same nodes.
+    pub(crate) fn clear_memos(&mut self) {
+        self.substitution_memo = HashMap::new();
+        self.inversion_memo = HashMap::new();
+        self.intersection_memo = HashMap::new();
+        self.downshift_memo = HashMap::new();
+    }
+
+    /// The id of `node`, if the arena holds it.
+    pub(crate) fn lookup(&self, node: &SpaceNode) -> Option<SpaceId> {
+        self.hashcons.get(node).copied()
+    }
+
     fn intern(&mut self, node: SpaceNode) -> SpaceId {
         if let Some(&id) = self.hashcons.get(&node) {
             return id;

@@ -75,22 +75,17 @@ pub struct ContextualGrammar {
 impl ContextualGrammar {
     /// A uniform contextual grammar.
     pub fn uniform(library: Arc<Library>) -> ContextualGrammar {
-        let n = library.len();
-        let max_arity = library.max_arity().max(1);
-        let rows = BigramParent::row_count(n);
-        let table = vec![WeightVector::uniform(n); rows * max_arity];
+        let table = vec![WeightVector::uniform(library.len()); BigramParent::slot_count(&library)];
         ContextualGrammar {
+            max_arity: BigramParent::arg_slots(&library),
             library,
-            max_arity,
             table,
         }
     }
 
     /// Index into the table for a (parent, arg) context.
     pub fn slot(&self, parent: BigramParent, arg: usize) -> usize {
-        let row = parent.row(self.library.len());
-        let a = arg.min(self.max_arity - 1);
-        row * self.max_arity + a
+        parent.slot(arg, self.library.len(), self.max_arity)
     }
 
     /// Mutable access to one context's weights.

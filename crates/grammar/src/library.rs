@@ -178,6 +178,26 @@ impl BigramParent {
     pub fn row_count(library_len: usize) -> usize {
         library_len + 2
     }
+
+    /// Argument slots per row of a tensor over `library`: its greatest
+    /// arity, and at least one.
+    pub fn arg_slots(library: &Library) -> usize {
+        library.max_arity().max(1)
+    }
+
+    /// Slots, one per (row, argument slot), of a tensor over `library`.
+    pub fn slot_count(library: &Library) -> usize {
+        BigramParent::row_count(library.len()) * BigramParent::arg_slots(library)
+    }
+
+    /// Index of the context (this parent, argument `arg`) in a row-major
+    /// `[row][arg]` tensor over a library of `library_len` items with
+    /// `arg_slots` slots per row; arguments past the last slot share it.
+    /// The one slot layout: [`crate::ContextualGrammar`] and the
+    /// recognition model's head both index by it.
+    pub fn slot(self, arg: usize, library_len: usize, arg_slots: usize) -> usize {
+        self.row(library_len) * arg_slots + arg.min(arg_slots - 1)
+    }
 }
 
 /// Unnormalized log-weights for one choice point: a weight for "use a

@@ -4,7 +4,16 @@
 
 use dc_grammar::frontier::Frontier;
 
-use crate::model::{Objective, TrainingExample};
+use crate::model::TrainingExample;
+
+/// Which training objective replays follow (§4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// `L_MAP`: predict only the maximum-a-posteriori program per task.
+    Map,
+    /// `L_post`: match the full (beam-approximated) posterior.
+    Posterior,
+}
 
 /// Turn a solved task's frontier into a *replay* training example.
 ///

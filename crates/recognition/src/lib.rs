@@ -15,14 +15,14 @@
 //! use std::sync::Arc;
 //! use dc_grammar::Library;
 //! use dc_lambda::primitives::base_primitives;
-//! use dc_recognition::{Objective, Parameterization, RecognitionModel};
+//! use dc_recognition::{Parameterization, RecognitionModel};
 //! use rand::SeedableRng;
 //!
 //! let prims = base_primitives();
 //! let library = Arc::new(Library::from_primitives(prims.iter().cloned()));
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 //! let model = RecognitionModel::new(
-//!     library, 8, 16, Parameterization::Bigram, Objective::Map, 0.01, &mut rng,
+//!     library, 8, 16, Parameterization::Bigram, 0.01, &mut rng,
 //! );
 //! let guide = model.predict(&[0.0; 8]); // a ContextualGrammar for search
 //! assert_eq!(guide.library.len(), model.library().len());
@@ -33,11 +33,9 @@
 pub mod dream;
 pub mod mlp;
 pub mod model;
-pub mod persist;
 pub mod tensor;
 
-pub use dream::replay_example;
+pub use dream::{replay_example, Objective};
 pub use mlp::{ForwardTrace, Mlp};
-pub use model::{Objective, Parameterization, RecognitionModel, TrainingExample};
-pub use persist::{ModelLoadError, SavedRecognitionModel};
+pub use model::{ModelLoadError, Parameterization, RecognitionModel, TrainingExample};
 pub use tensor::{Adam, Matrix};

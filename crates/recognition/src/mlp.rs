@@ -36,12 +36,11 @@ impl Linear {
 /// A feed-forward network `features -> tanh hidden layers -> linear logits`.
 ///
 /// Serializable (weights, biases, and Adam moments) so recognition
-/// models survive checkpoint/resume bit-for-bit.
+/// models survive checkpoint/resume bit-for-bit. Its widths are its first
+/// and last layers'.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    input_dim: usize,
-    output_dim: usize,
 }
 
 /// Cached activations from a forward pass, needed for backprop.
@@ -70,21 +69,56 @@ impl Mlp {
             .windows(2)
             .map(|w| Linear::new(w[0], w[1], lr, rng))
             .collect();
-        Mlp {
-            layers,
-            input_dim: sizes[0],
-            output_dim: *sizes.last().expect("nonempty"),
-        }
+        Mlp { layers }
     }
 
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
-        self.input_dim
+        self.layers[0].w.cols
     }
 
     /// Output dimensionality.
     pub fn output_dim(&self) -> usize {
-        self.output_dim
+        self.layers[self.layers.len() - 1].w.rows
+    }
+
+    /// Check every shape the network indexes by: it has a layer, each
+    /// layer stores `rows × cols` weights, one bias per row and Adam
+    /// moments as long as the tensors they update, and each layer takes
+    /// as many inputs as the one before gives.
+    ///
+    /// # Errors
+    /// A description of the first tensor that does not fit.
+    pub fn check_shapes(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("the network has no layers".into());
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            let Matrix { rows, cols, data } = &layer.w;
+            if rows.checked_mul(*cols) != Some(data.len()) {
+                return Err(format!(
+                    "layer {i} stores {} weights for a {rows}x{cols} matrix",
+                    data.len()
+                ));
+            }
+            if layer.b.len() != *rows {
+                return Err(format!(
+                    "layer {i} has {} biases for {rows} rows",
+                    layer.b.len()
+                ));
+            }
+            if !layer.w_opt.fits(data.len()) || !layer.b_opt.fits(*rows) {
+                return Err(format!("layer {i}'s Adam moments do not fit its tensors"));
+            }
+            if i > 0 && *cols != self.layers[i - 1].w.rows {
+                return Err(format!(
+                    "layer {i} takes {cols} inputs, layer {} gives {}",
+                    i - 1,
+                    self.layers[i - 1].w.rows
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Forward pass, keeping activations for backprop.
@@ -92,7 +126,7 @@ impl Mlp {
     /// # Panics
     /// Panics if `x.len() != input_dim`.
     pub fn forward(&self, x: &[f64]) -> ForwardTrace {
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
+        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
         let mut activations = vec![x.to_vec()];
         for (i, layer) in self.layers.iter().enumerate() {
             let pre = layer.forward(activations.last().expect("nonempty"));
@@ -107,27 +141,16 @@ impl Mlp {
     }
 
     /// Clone this network with a freshly initialized output layer of a
-    /// new size, keeping all hidden layers (and their optimizer state).
+    /// new size, at the old one's learning rate, keeping all hidden layers
+    /// (and their optimizer state).
     ///
     /// Used when the library grows during abstraction sleep: the learned
     /// task featurization survives; only the per-production head restarts.
-    pub fn with_resized_output<R: Rng + ?Sized>(
-        &self,
-        new_output: usize,
-        lr: f64,
-        rng: &mut R,
-    ) -> Mlp {
+    pub fn with_resized_output<R: Rng + ?Sized>(&self, new_output: usize, rng: &mut R) -> Mlp {
         let mut layers = self.layers.clone();
-        let last_input = layers
-            .last()
-            .map(|l| l.w.cols)
-            .expect("mlp has at least one layer");
-        *layers.last_mut().expect("nonempty") = Linear::new(last_input, new_output, lr, rng);
-        Mlp {
-            layers,
-            input_dim: self.input_dim,
-            output_dim: new_output,
-        }
+        let last = layers.last_mut().expect("mlp has at least one layer");
+        *last = Linear::new(last.w.cols, new_output, last.w_opt.lr, rng);
+        Mlp { layers }
     }
 
     /// Backpropagate `d loss / d logits` and take one Adam step.
@@ -135,7 +158,7 @@ impl Mlp {
     /// # Panics
     /// Panics if the gradient length does not match the output dimension.
     pub fn backward(&mut self, trace: &ForwardTrace, grad_output: &[f64]) {
-        assert_eq!(grad_output.len(), self.output_dim);
+        assert_eq!(grad_output.len(), self.output_dim());
         let mut grad = grad_output.to_vec();
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let input = &trace.activations[i];

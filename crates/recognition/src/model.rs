@@ -19,21 +19,12 @@ use rand::Rng;
 use crate::mlp::Mlp;
 
 /// How the output distribution is parameterized (§4, Fig 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parameterization {
     /// One weight per library routine, independent of context (as in EC2).
     Unigram,
     /// A full (parent × argument-index × child) transition tensor.
     Bigram,
-}
-
-/// Which training objective the model optimizes (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum Objective {
-    /// `L_MAP`: predict only the maximum-a-posteriori program per task.
-    Map,
-    /// `L_post`: match the full (beam-approximated) posterior.
-    Posterior,
 }
 
 /// One supervised pair for the recognition model: a task's features plus
@@ -54,8 +45,6 @@ pub struct TrainingExample {
 pub struct RecognitionModel {
     library: Arc<Library>,
     parameterization: Parameterization,
-    objective: Objective,
-    max_arity: usize,
     mlp: Mlp,
     /// Optional prior bias: the network predicts a *residual* on top of
     /// these (typically the fitted generative weights `θ`), so an
@@ -64,16 +53,54 @@ pub struct RecognitionModel {
     prior_bias: Option<WeightVector>,
 }
 
-/// The argument slots per parent and the output width of a head with
-/// `parameterization` over `library`.
-fn head_shape(parameterization: Parameterization, library: &Library) -> (usize, usize) {
+/// Error restoring a recognition model's network against a library.
+#[derive(Debug)]
+pub enum ModelLoadError {
+    /// A stored tensor does not fit the network's shapes.
+    Malformed(String),
+    /// The network reads another number of features than the domain gives.
+    InputMismatch {
+        /// Input width of the saved network.
+        saved: usize,
+        /// The domain's feature width.
+        expected: usize,
+    },
+    /// The saved output layer is the wrong size for the library and head.
+    HeadMismatch {
+        /// Output dimension of the saved network.
+        saved: usize,
+        /// Output dimension the library and head require.
+        expected: usize,
+    },
+}
+
+impl std::fmt::Display for ModelLoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelLoadError::Malformed(msg) => write!(f, "malformed network: {msg}"),
+            ModelLoadError::InputMismatch { saved, expected } => write!(
+                f,
+                "saved network reads {saved} features, the domain gives {expected}"
+            ),
+            ModelLoadError::HeadMismatch { saved, expected } => write!(
+                f,
+                "saved recognition head has {saved} outputs, library requires {expected}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ModelLoadError {}
+
+/// The output width of a head with `parameterization` over `library`:
+/// `n + 1` logits (one per production, one for variables) per slot of
+/// the bigram tensor, or for the one slot every context shares.
+fn head_width(parameterization: Parameterization, library: &Library) -> usize {
     let n = library.len();
-    let max_arity = library.max_arity().max(1);
-    let out_dim = match parameterization {
+    match parameterization {
         Parameterization::Unigram => n + 1,
-        Parameterization::Bigram => BigramParent::row_count(n) * max_arity * (n + 1),
-    };
-    (max_arity, out_dim)
+        Parameterization::Bigram => BigramParent::slot_count(library) * (n + 1),
+    }
 }
 
 impl RecognitionModel {
@@ -84,20 +111,59 @@ impl RecognitionModel {
         feature_dim: usize,
         hidden_dim: usize,
         parameterization: Parameterization,
-        objective: Objective,
         learning_rate: f64,
         rng: &mut R,
     ) -> RecognitionModel {
-        let (max_arity, out_dim) = head_shape(parameterization, &library);
+        let out_dim = head_width(parameterization, &library);
         let mlp = Mlp::new(&[feature_dim, hidden_dim, out_dim], learning_rate, rng);
         RecognitionModel {
             library,
             parameterization,
-            objective,
-            max_arity,
             mlp,
             prior_bias: None,
         }
+    }
+
+    /// Restore a model over `library` from its network, as a checkpoint
+    /// stores it. The head comes from `parameterization`; no prior bias is
+    /// installed.
+    ///
+    /// # Errors
+    /// [`ModelLoadError`] when a stored tensor does not fit the network's
+    /// shapes, or the network's input is not `feature_dim` wide or its
+    /// output is not the head's width over `library`.
+    pub fn from_mlp(
+        mlp: Mlp,
+        library: Arc<Library>,
+        parameterization: Parameterization,
+        feature_dim: usize,
+    ) -> Result<RecognitionModel, ModelLoadError> {
+        mlp.check_shapes().map_err(ModelLoadError::Malformed)?;
+        if mlp.input_dim() != feature_dim {
+            return Err(ModelLoadError::InputMismatch {
+                saved: mlp.input_dim(),
+                expected: feature_dim,
+            });
+        }
+        let expected = head_width(parameterization, &library);
+        if mlp.output_dim() != expected {
+            return Err(ModelLoadError::HeadMismatch {
+                saved: mlp.output_dim(),
+                expected,
+            });
+        }
+        Ok(RecognitionModel {
+            library,
+            parameterization,
+            mlp,
+            prior_bias: None,
+        })
+    }
+
+    /// The network: weights, biases and Adam moments, all a checkpoint
+    /// stores of the model.
+    pub fn mlp(&self) -> &Mlp {
+        &self.mlp
     }
 
     /// Install (or clear) the prior bias added to every slot's logits.
@@ -126,82 +192,19 @@ impl RecognitionModel {
 
     /// Rebuild the model for a grown library: hidden layers (the learned
     /// task featurization) are kept; the output head is re-initialized at
-    /// the new library's size.
+    /// the new library's size, with no prior bias.
     pub fn rebuild_for_library<R: Rng + ?Sized>(
         &self,
         library: Arc<Library>,
-        learning_rate: f64,
         rng: &mut R,
     ) -> RecognitionModel {
-        let (max_arity, out_dim) = head_shape(self.parameterization, &library);
+        let out_dim = head_width(self.parameterization, &library);
         RecognitionModel {
             library,
             parameterization: self.parameterization,
-            objective: self.objective,
-            max_arity,
-            mlp: self.mlp.with_resized_output(out_dim, learning_rate, rng),
+            mlp: self.mlp.with_resized_output(out_dim, rng),
             prior_bias: None,
         }
-    }
-
-    /// Snapshot the model's mutable state (weights, moments, bias) for
-    /// persistence. The library is saved separately — see
-    /// [`crate::persist`] for the contract.
-    pub fn to_saved(&self) -> crate::persist::SavedRecognitionModel {
-        crate::persist::SavedRecognitionModel {
-            parameterization: self.parameterization,
-            objective: self.objective,
-            max_arity: self.max_arity,
-            mlp: self.mlp.clone(),
-            prior_bias: self.prior_bias.clone(),
-        }
-    }
-
-    /// Restore a model from its saved state against `library`.
-    ///
-    /// # Errors
-    /// [`crate::persist::ModelLoadError`] when the library's size or
-    /// arity disagrees with the dimensions the head was saved with.
-    pub fn from_saved(
-        saved: crate::persist::SavedRecognitionModel,
-        library: Arc<Library>,
-    ) -> Result<RecognitionModel, crate::persist::ModelLoadError> {
-        use crate::persist::ModelLoadError;
-        let n = library.len();
-        let (library_arity, expected) = head_shape(saved.parameterization, &library);
-        if saved.max_arity != library_arity {
-            return Err(ModelLoadError::ArityMismatch {
-                saved: saved.max_arity,
-                library: library_arity,
-            });
-        }
-        if saved.mlp.output_dim() != expected {
-            return Err(ModelLoadError::HeadMismatch {
-                saved: saved.mlp.output_dim(),
-                expected,
-            });
-        }
-        if let Some(b) = &saved.prior_bias {
-            if b.log_productions.len() != n {
-                return Err(ModelLoadError::BiasMismatch {
-                    saved: b.log_productions.len(),
-                    expected: n,
-                });
-            }
-        }
-        Ok(RecognitionModel {
-            library,
-            parameterization: saved.parameterization,
-            objective: saved.objective,
-            max_arity: saved.max_arity,
-            mlp: saved.mlp,
-            prior_bias: saved.prior_bias,
-        })
-    }
-
-    /// The training objective in force.
-    pub fn objective(&self) -> Objective {
-        self.objective
     }
 
     /// The output parameterization in force.
@@ -209,14 +212,12 @@ impl RecognitionModel {
         self.parameterization
     }
 
-    fn slot_base(&self, parent: BigramParent, arg: usize) -> usize {
-        let n = self.library.len();
+    /// Where the `n + 1` logits of bigram-tensor slot `slot` (see
+    /// [`BigramParent::slot`]) start in the network's output.
+    fn logit_offset(&self, slot: usize) -> usize {
         match self.parameterization {
             Parameterization::Unigram => 0,
-            Parameterization::Bigram => {
-                let row = parent.row(n);
-                (row * self.max_arity + arg.min(self.max_arity - 1)) * (n + 1)
-            }
+            Parameterization::Bigram => slot * (self.library.len() + 1),
         }
     }
 
@@ -226,56 +227,38 @@ impl RecognitionModel {
     /// # Panics
     /// Panics if `features.len()` differs from the configured dimension.
     pub fn predict(&self, features: &[f64]) -> ContextualGrammar {
-        let logits = self.mlp.forward(features).output().to_vec();
+        let trace = self.mlp.forward(features);
+        let logits = trace.output();
         let n = self.library.len();
         let mut cg = ContextualGrammar::uniform(Arc::clone(&self.library));
-        let rows = BigramParent::row_count(n);
-        for row in 0..rows {
-            let parent = if row == n {
-                BigramParent::Start
-            } else if row == n + 1 {
-                BigramParent::Var
-            } else {
-                BigramParent::Prod(row)
-            };
-            for arg in 0..self.max_arity.min(cg.max_arity) {
-                let base = self.slot_base(parent, arg);
-                let wv = cg.weights_mut(parent, arg);
-                wv.log_productions.copy_from_slice(&logits[base..base + n]);
-                wv.log_variable = logits[base + n];
-                if let Some(bias) = &self.prior_bias {
-                    for (w, b) in wv.log_productions.iter_mut().zip(&bias.log_productions) {
-                        *w += b;
-                    }
-                    wv.log_variable += bias.log_variable;
+        for (slot, wv) in cg.table.iter_mut().enumerate() {
+            let base = self.logit_offset(slot);
+            wv.log_productions.copy_from_slice(&logits[base..base + n]);
+            wv.log_variable = logits[base + n];
+            if let Some(bias) = &self.prior_bias {
+                for (w, b) in wv.log_productions.iter_mut().zip(&bias.log_productions) {
+                    *w += b;
                 }
+                wv.log_variable += bias.log_variable;
             }
         }
         cg
     }
 
-    /// One stochastic training step on a single example; returns the loss.
+    /// One SGD step over one example's precomputed generation traces;
+    /// returns the loss: the negative log-probability the predicted
+    /// tensor assigns to the target program(s), with the normalizer
+    /// computed over the *type-feasible* candidates at each generation
+    /// choice point — exactly the probability enumeration would assign.
     ///
-    /// The loss is the negative log-probability the predicted tensor
-    /// assigns to the target program(s), with the normalizer computed over
-    /// the *type-feasible* candidates at each generation choice point —
-    /// exactly the probability enumeration would assign.
-    pub fn train_step(&mut self, example: &TrainingExample) -> f64 {
-        // One-shot path: trace against a throwaway uniform grammar. The
-        // epoch loop in [`RecognitionModel::train`] hoists both the grammar
-        // and the traces out of the hot path instead.
-        let scorer = Grammar::uniform(Arc::clone(&self.library));
-        let traces = prepare_traces(&scorer, example);
-        self.train_step_traced(&example.features, &traces)
-    }
-
-    /// The SGD inner step over precomputed generation traces. The trace
-    /// events (type-feasibility per choice point) are weight-independent,
-    /// so callers compute them once per example and replay them every
-    /// epoch; only the logits and gradients here change between steps.
+    /// The trace events (type-feasibility per choice point) are
+    /// weight-independent, so [`RecognitionModel::train`] computes them
+    /// once per example and replays them every epoch; only the logits and
+    /// gradients here change between steps.
     fn train_step_traced(&mut self, features: &[f64], traces: &[(f64, Vec<GenEvent>)]) -> f64 {
         let trace = self.mlp.forward(features);
         let n = self.library.len();
+        let arg_slots = BigramParent::arg_slots(&self.library);
         let mut grad = vec![0.0; trace.output().len()];
         let mut loss = 0.0;
         let mut terms: Vec<f64> = Vec::new();
@@ -283,7 +266,7 @@ impl RecognitionModel {
             let weight = *weight;
             let logits = trace.output();
             for ev in events {
-                let base = self.slot_base(ev.parent, ev.arg);
+                let base = self.logit_offset(ev.parent.slot(ev.arg, n, arg_slots));
                 let var_logit = logits[base + n] + self.bias_for(None);
                 terms.clear();
                 terms.extend(
@@ -416,20 +399,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn predict_produces_usable_grammar() {
-        let lib = tiny_library();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        let model = RecognitionModel::new(
-            lib,
-            4,
+    fn model(parameterization: Parameterization, features: usize, seed: u64) -> RecognitionModel {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        RecognitionModel::new(
+            tiny_library(),
+            features,
             8,
-            Parameterization::Bigram,
-            Objective::Map,
+            parameterization,
             0.01,
             &mut rng,
-        );
-        let cg = model.predict(&[0.1, 0.2, 0.3, 0.4]);
+        )
+    }
+
+    #[test]
+    fn predict_produces_usable_grammar() {
+        let cg = model(Parameterization::Bigram, 4, 0).predict(&[0.1, 0.2, 0.3, 0.4]);
         let prims = base_primitives();
         let e = Expr::parse("(+ 1 1)", &prims).unwrap();
         assert!(cg.log_prior(&tint(), &e).is_finite());
@@ -444,7 +428,6 @@ mod tests {
             2,
             16,
             Parameterization::Bigram,
-            Objective::Map,
             0.01,
             &mut rng,
         );
@@ -455,10 +438,7 @@ mod tests {
         ];
         let first: f64 = examples
             .iter()
-            .map(|e| {
-                let mut m = model.clone();
-                m.train_step(e)
-            })
+            .map(|e| model.clone().train(std::slice::from_ref(e), 1, &mut rng))
             .sum();
         let last = model.train(&examples, 300, &mut rng);
         assert!(last < first, "loss should fall: {first} -> {last}");
@@ -474,18 +454,7 @@ mod tests {
 
     #[test]
     fn unigram_head_is_context_independent() {
-        let lib = tiny_library();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
-        let model = RecognitionModel::new(
-            lib,
-            3,
-            8,
-            Parameterization::Unigram,
-            Objective::Map,
-            0.01,
-            &mut rng,
-        );
-        let cg = model.predict(&[0.5, 0.5, 0.5]);
+        let cg = model(Parameterization::Unigram, 3, 2).predict(&[0.5, 0.5, 0.5]);
         // Every slot carries identical weights.
         let w_start = cg.weights(BigramParent::Start, 0).clone();
         let w_prod = cg.weights(BigramParent::Prod(0), 1).clone();
@@ -493,32 +462,116 @@ mod tests {
     }
 
     #[test]
-    fn posterior_examples_with_multiple_programs_train() {
-        let lib = tiny_library();
+    fn training_and_prediction_read_one_layout() {
+        // The loss of one step is the negative log-prior the predicted
+        // grammar gives the target; a slot read at different logits by
+        // `train` and `predict` breaks the equality.
         let prims = base_primitives();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let mut model = RecognitionModel::new(
-            lib,
-            2,
-            8,
-            Parameterization::Bigram,
-            Objective::Posterior,
-            0.01,
-            &mut rng,
-        );
-        let ex = TrainingExample {
+        let request = Type::arrow(tint(), tint());
+        let program = Expr::parse("(lambda (+ (+ $0 1) (+ 0 $0)))", &prims).unwrap();
+        let features = vec![0.3, -0.7];
+        let ex = [TrainingExample {
+            features: features.clone(),
+            request: request.clone(),
+            programs: vec![(program.clone(), 1.0)],
+        }];
+        for parameterization in [Parameterization::Bigram, Parameterization::Unigram] {
+            let mut model = model(parameterization, 2, 4);
+            let n = model.library().len();
+            model.set_prior_bias(Some(WeightVector {
+                log_variable: -0.4,
+                log_productions: (0..n).map(|j| 0.3 * j as f64 - 0.2).collect(),
+            }));
+            let expected = -model.predict(&features).log_prior(&request, &program);
+            assert!(expected.is_finite());
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+            let loss = model.train(&ex, 1, &mut rng);
+            assert!(
+                (loss - expected).abs() < 1e-9,
+                "{parameterization:?}: train {loss} vs predict {expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn posterior_examples_with_multiple_programs_train() {
+        let prims = base_primitives();
+        let mut model = model(Parameterization::Bigram, 2, 3);
+        let ex = [TrainingExample {
             features: vec![1.0, 0.0],
             request: tint(),
             programs: vec![
                 (Expr::parse("(+ 1 0)", &prims).unwrap(), 0.7),
                 (Expr::parse("(+ 0 1)", &prims).unwrap(), 0.3),
             ],
-        };
-        let l0 = model.train_step(&ex);
-        for _ in 0..200 {
-            model.train_step(&ex);
-        }
-        let l1 = model.train_step(&ex);
+        }];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let l0 = model.train(&ex, 1, &mut rng);
+        let l1 = model.train(&ex, 201, &mut rng);
         assert!(l1 < l0);
+    }
+
+    #[test]
+    fn model_round_trips_bit_for_bit() {
+        let lib = tiny_library();
+        let bias = WeightVector {
+            log_variable: -0.25,
+            log_productions: vec![0.1; lib.len()],
+        };
+        let mut model = model(Parameterization::Bigram, 2, 9);
+        model.set_prior_bias(Some(bias.clone()));
+        // Train a little so Adam moments are non-trivial.
+        let ex = [example("(+ 1 1)", vec![1.0, 0.0])];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+        model.train(&ex, 5, &mut rng);
+
+        let json = serde_json::to_string(model.mlp()).unwrap();
+        let back: Mlp = serde_json::from_str(&json).unwrap();
+        let mut loaded =
+            RecognitionModel::from_mlp(back, Arc::clone(&lib), Parameterization::Bigram, 2)
+                .unwrap();
+        loaded.set_prior_bias(Some(bias));
+
+        // Identical predictions and — because Adam moments survive —
+        // identical continued-training trajectories.
+        let prims = base_primitives();
+        let probe = Expr::parse("(+ 1 0)", &prims).unwrap();
+        let a = model.predict(&[0.3, 0.7]).log_prior(&tint(), &probe);
+        let b = loaded.predict(&[0.3, 0.7]).log_prior(&tint(), &probe);
+        assert_eq!(a.to_bits(), b.to_bits(), "predictions must be bit-equal");
+        for _ in 0..3 {
+            let l1 = model.train(&ex, 1, &mut rng);
+            let l2 = loaded.train(&ex, 1, &mut rng);
+            assert_eq!(l1.to_bits(), l2.to_bits(), "training must stay in lockstep");
+        }
+    }
+
+    #[test]
+    fn load_rejects_a_network_that_does_not_fit() {
+        let lib = tiny_library();
+        let mlp = model(Parameterization::Bigram, 2, 0).mlp().clone();
+        let load = |library, parameterization, features| {
+            RecognitionModel::from_mlp(mlp.clone(), library, parameterization, features)
+        };
+        assert!(load(Arc::clone(&lib), Parameterization::Bigram, 2).is_ok());
+        // A bigger library than the head was sized for.
+        let big = Arc::new(Library::from_primitives(base_primitives().iter().cloned()));
+        assert!(matches!(
+            load(big, Parameterization::Bigram, 2),
+            Err(ModelLoadError::HeadMismatch { .. })
+        ));
+        // Another head over the same library.
+        assert!(matches!(
+            load(Arc::clone(&lib), Parameterization::Unigram, 2),
+            Err(ModelLoadError::HeadMismatch { .. })
+        ));
+        // Another feature width.
+        assert!(matches!(
+            load(lib, Parameterization::Bigram, 3),
+            Err(ModelLoadError::InputMismatch {
+                saved: 2,
+                expected: 3
+            })
+        ));
     }
 }

@@ -74,6 +74,13 @@ impl Matrix {
     }
 }
 
+/// Adam's first-moment decay rate.
+const BETA1: f64 = 0.9;
+/// Adam's second-moment decay rate.
+const BETA2: f64 = 0.999;
+/// Adam's denominator floor.
+const EPS: f64 = 1e-8;
+
 /// Adam optimizer state for one parameter tensor.
 ///
 /// Serializable so checkpoints capture optimizer moments: resuming a
@@ -86,9 +93,6 @@ pub struct Adam {
     t: u64,
     /// Learning rate.
     pub lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
 }
 
 impl Adam {
@@ -99,10 +103,13 @@ impl Adam {
             v: vec![0.0; n],
             t: 0,
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
         }
+    }
+
+    /// Whether both moments hold `n` entries, one per parameter of an
+    /// `n`-parameter tensor.
+    pub fn fits(&self, n: usize) -> bool {
+        self.m.len() == n && self.v.len() == n
     }
 
     /// Apply one update: `params -= lr * m̂ / (sqrt(v̂) + eps)`.
@@ -113,14 +120,14 @@ impl Adam {
         assert_eq!(params.len(), self.m.len());
         assert_eq!(grads.len(), self.m.len());
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..params.len() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grads[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grads[i] * grads[i];
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * grads[i];
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * grads[i] * grads[i];
             let mhat = self.m[i] / b1t;
             let vhat = self.v[i] / b2t;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            params[i] -= self.lr * mhat / (vhat.sqrt() + EPS);
         }
     }
 }

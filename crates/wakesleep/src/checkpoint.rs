@@ -16,7 +16,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use dc_grammar::persist::{SavedFrontier, SavedGrammar};
-use dc_recognition::SavedRecognitionModel;
+use dc_recognition::Mlp;
 use serde::{Deserialize, Serialize};
 
 use crate::run::CycleStats;
@@ -32,7 +32,10 @@ use crate::run::CycleStats;
 /// v5: the RNG is stored as `rng_word_pos`, its word position under
 /// `seed`; `inventions` and `cycles_completed` went, since the grammar
 /// and `stats` already say them.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// v6: `recognition` is the network alone (layers of weights, biases and
+/// Adam moments); the head comes from the condition, the prior bias from
+/// `grammar`, the widths from the layers.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// One stored frontier, keyed by its train-task index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -58,8 +61,9 @@ pub struct Checkpoint {
     pub grammar: SavedGrammar,
     /// All stored frontiers, sorted by task index.
     pub frontiers: Vec<TaskFrontier>,
-    /// Recognition-model weights, when the condition trains one.
-    pub recognition: Option<SavedRecognitionModel>,
+    /// The recognition model's network (weights and Adam moments), when
+    /// the condition trains one.
+    pub recognition: Option<Mlp>,
     /// Words drawn from the seeded ChaCha8 stream by the end of the
     /// checkpointed cycle.
     pub rng_word_pos: u64,
@@ -91,7 +95,8 @@ pub enum CheckpointError {
     Mismatch(String),
     /// The grammar or a frontier failed to reload.
     Grammar(dc_grammar::persist::LoadError),
-    /// The recognition model failed to reload.
+    /// The recognition model's network does not fit the domain, the
+    /// library or the condition's head.
     Recognition(dc_recognition::ModelLoadError),
 }
 

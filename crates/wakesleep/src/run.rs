@@ -89,20 +89,16 @@ impl<'d> DreamCoder<'d> {
         let library = domain.initial_library();
         let grammar = Grammar::uniform(Arc::clone(&library));
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(config.seed);
-        let recognition = config
-            .condition
-            .recognition_head()
-            .map(|(param, objective)| {
-                RecognitionModel::new(
-                    library,
-                    domain.feature_dim(),
-                    config.recognition.hidden_dim,
-                    param,
-                    objective,
-                    LEARNING_RATE,
-                    &mut rng,
-                )
-            });
+        let recognition = config.condition.recognition_head().map(|(param, _)| {
+            RecognitionModel::new(
+                library,
+                domain.feature_dim(),
+                config.recognition.hidden_dim,
+                param,
+                LEARNING_RATE,
+                &mut rng,
+            )
+        });
         DreamCoder {
             domain,
             config,
@@ -119,13 +115,19 @@ impl<'d> DreamCoder<'d> {
     /// metrics all pick up exactly where the checkpointed run left off.
     /// `run` then continues at cycle `checkpoint.cycles_completed()`.
     ///
+    /// The recognition head comes from the condition and, once a cycle
+    /// has completed, the prior bias from the grammar: the run installs θ
+    /// before every dream, and θ does not change between a dream and the
+    /// cycle's checkpoint.
+    ///
     /// # Errors
     /// [`CheckpointError::Mismatch`] when the checkpoint was taken under
-    /// a different domain, condition, or seed, stores a recognition head
-    /// other than the one the condition trains, or references a train task
-    /// the domain no longer has; [`CheckpointError::Grammar`] /
-    /// [`CheckpointError::Recognition`] when stored state fails to reload
-    /// against the domain's primitive set.
+    /// a different domain, condition, or seed, lacks the network the
+    /// condition trains, or references a train task the domain no longer
+    /// has; [`CheckpointError::Grammar`] when stored programs fail to
+    /// reload against the domain's primitive set;
+    /// [`CheckpointError::Recognition`] when the network's shapes do not
+    /// fit the domain's features, the library or the condition's head.
     pub fn resume(
         domain: &'d dyn Domain,
         config: DreamCoderConfig,
@@ -173,22 +175,23 @@ impl<'d> DreamCoder<'d> {
             frontiers.insert(tf.task, frontier);
         }
         let recognition = match config.condition.recognition_head() {
-            Some(head) => {
-                let saved = ckpt.recognition.clone().ok_or_else(|| {
+            Some((parameterization, _)) => {
+                let mlp = ckpt.recognition.clone().ok_or_else(|| {
                     CheckpointError::Mismatch(
                         "condition uses a recognition model but the checkpoint stores none".into(),
                     )
                 })?;
-                let saved_head = (saved.parameterization, saved.objective);
-                if saved_head != head {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "checkpoint stores a {saved_head:?} recognition head, condition trains {head:?}"
-                    )));
-                }
-                Some(
-                    RecognitionModel::from_saved(saved, Arc::clone(&grammar.library))
-                        .map_err(CheckpointError::Recognition)?,
+                let mut model = RecognitionModel::from_mlp(
+                    mlp,
+                    Arc::clone(&grammar.library),
+                    parameterization,
+                    domain.feature_dim(),
                 )
+                .map_err(CheckpointError::Recognition)?;
+                if !ckpt.stats.is_empty() {
+                    model.set_prior_bias(Some(grammar.weights.clone()));
+                }
+                Some(model)
             }
             None => None,
         };
@@ -232,7 +235,7 @@ impl<'d> DreamCoder<'d> {
                     frontier: save_frontier(f),
                 })
                 .collect(),
-            recognition: self.recognition.as_ref().map(RecognitionModel::to_saved),
+            recognition: self.recognition.as_ref().map(|m| m.mlp().clone()),
             // A run cannot draw 2^64 words.
             rng_word_pos: self.rng.get_word_pos() as u64,
             stats: self.stats.clone(),
@@ -315,21 +318,20 @@ impl<'d> DreamCoder<'d> {
             .collect();
         // The library changed: rebuild the recognition model's output head
         // over the new production set, keeping the learned hidden layers.
+        // Dream sleep, which follows, installs the new θ as its bias.
         if let Some(old) = self.recognition.take() {
-            let mut rebuilt = old.rebuild_for_library(
-                Arc::clone(&self.grammar.library),
-                LEARNING_RATE,
-                &mut self.rng,
-            );
-            rebuilt.set_prior_bias(Some(self.grammar.weights.clone()));
-            self.recognition = Some(rebuilt);
+            self.recognition =
+                Some(old.rebuild_for_library(Arc::clone(&self.grammar.library), &mut self.rng));
         }
         new
     }
 
     /// One dream sleep (no-op when the condition has no recognition model).
     fn dream_cycle(&mut self) {
-        let Some(model) = self.recognition.as_mut() else {
+        let (Some(model), Some((_, objective))) = (
+            self.recognition.as_mut(),
+            self.config.condition.recognition_head(),
+        ) else {
             return;
         };
         let train = self.domain.train_tasks();
@@ -346,6 +348,7 @@ impl<'d> DreamCoder<'d> {
             self.domain,
             &self.grammar,
             &solved,
+            objective,
             &self.config.recognition,
             &mut self.rng,
         );
@@ -562,10 +565,15 @@ mod tests {
     fn the_condition_picks_the_recognition_head() {
         use dc_recognition::{Objective, Parameterization};
         let domain = ListDomain::new(0);
-        let head = |condition| {
+        let head = |condition: Condition| {
             let dc = DreamCoder::new(&domain, quick_config(condition));
-            dc.recognition
-                .map(|m| (m.parameterization(), m.objective()))
+            let head = condition.recognition_head();
+            assert_eq!(
+                dc.recognition.map(|m| m.parameterization()),
+                head.map(|(param, _)| param),
+                "{condition:?}"
+            );
+            head
         };
         assert_eq!(
             head(Condition::Ec2),

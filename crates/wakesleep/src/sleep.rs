@@ -10,7 +10,7 @@ use dc_grammar::library::Library;
 use dc_grammar::sample::sample_program_with_retries;
 use dc_lambda::expr::{Expr, Invented};
 use dc_lambda::types::Type;
-use dc_recognition::{replay_example, RecognitionModel, TrainingExample};
+use dc_recognition::{replay_example, Objective, RecognitionModel, TrainingExample};
 use dc_tasks::domain::Domain;
 use dc_tasks::task::Task;
 use dc_vspace::{compress, joint_score, CompressionConfig, CompressionResult};
@@ -123,20 +123,21 @@ pub struct DreamStats {
     pub final_loss: f64,
 }
 
-/// Run dream sleep: train `model` on replays of solved tasks and on
-/// fantasies sampled from the generative model and executed by the domain.
-#[allow(clippy::too_many_arguments)]
+/// Run dream sleep: train `model` on replays of solved tasks, built
+/// under `objective`, and on fantasies sampled from the generative model
+/// and executed by the domain.
 pub fn dream_sleep<R: Rng>(
     model: &mut RecognitionModel,
     domain: &dyn Domain,
     grammar: &Grammar,
     solved: &[(&Task, &Frontier)],
+    objective: Objective,
     config: &crate::config::RecognitionConfig,
     rng: &mut R,
 ) -> DreamStats {
     let mut examples: Vec<TrainingExample> = Vec::new();
     for (task, frontier) in solved {
-        if let Some(ex) = replay_example(task.features.clone(), frontier, model.objective()) {
+        if let Some(ex) = replay_example(task.features.clone(), frontier, objective) {
             examples.push(ex);
         }
     }
@@ -284,7 +285,7 @@ mod tests {
     use dc_grammar::frontier::FrontierEntry;
     use dc_lambda::primitives::base_primitives;
     use dc_lambda::types::{tint, tlist, Type};
-    use dc_recognition::{Objective, Parameterization};
+    use dc_recognition::Parameterization;
     use dc_tasks::domains::list::ListDomain;
     use rand::SeedableRng;
 
@@ -407,7 +408,6 @@ mod tests {
             2,
             8,
             Parameterization::Bigram,
-            Objective::Map,
             0.01,
             &mut rng,
         );
@@ -420,7 +420,15 @@ mod tests {
             ..crate::config::RecognitionConfig::default()
         };
         // Former panic site: gen_range(0..0) on the empty request list.
-        let stats = dream_sleep(&mut model, &domain, &g, &[(&task, &f)], &rcfg, &mut rng);
+        let stats = dream_sleep(
+            &mut model,
+            &domain,
+            &g,
+            &[(&task, &f)],
+            Objective::Map,
+            &rcfg,
+            &mut rng,
+        );
         assert_eq!(stats.fantasies, 0, "no requests means no fantasies");
         assert_eq!(stats.replays, 1, "replays still train");
         assert!(stats.final_loss.is_finite());
@@ -472,7 +480,6 @@ mod tests {
             2,
             8,
             Parameterization::Bigram,
-            Objective::Map,
             0.01,
             &mut rng,
         );
@@ -489,7 +496,15 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         // Former crash site: an unwinding `domain.dream` tore down the
         // whole sleep. Each panic now costs exactly its own slot.
-        let stats = dream_sleep(&mut model, &domain, &g, &[(&task, &f)], &rcfg, &mut rng);
+        let stats = dream_sleep(
+            &mut model,
+            &domain,
+            &g,
+            &[(&task, &f)],
+            Objective::Map,
+            &rcfg,
+            &mut rng,
+        );
         std::panic::set_hook(prev_hook);
         assert_eq!(stats.fantasies, 0, "panicking dreams are skipped");
         assert_eq!(stats.replays, 1, "replays still train");
@@ -507,7 +522,6 @@ mod tests {
             domain.feature_dim(),
             16,
             Parameterization::Bigram,
-            Objective::Map,
             0.01,
             &mut rng,
         );
@@ -519,7 +533,15 @@ mod tests {
             epochs: 3,
             ..crate::config::RecognitionConfig::default()
         };
-        let stats = dream_sleep(&mut model, &domain, &g, &[(task, &f)], &rcfg, &mut rng);
+        let stats = dream_sleep(
+            &mut model,
+            &domain,
+            &g,
+            &[(task, &f)],
+            Objective::Map,
+            &rcfg,
+            &mut rng,
+        );
         assert_eq!(stats.replays, 1);
         assert!(stats.fantasies > 0, "expected some fantasies to execute");
         assert!(stats.final_loss.is_finite());

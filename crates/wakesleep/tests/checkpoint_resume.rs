@@ -6,8 +6,10 @@ use std::sync::Arc;
 
 use dc_grammar::enumeration::EnumerationConfig;
 use dc_lambda::expr::{Expr, Invented};
+use dc_recognition::Mlp;
 use dc_wakesleep::checkpoint::{latest_checkpoint, Checkpoint, CheckpointError};
 use dc_wakesleep::{Condition, DreamCoder, DreamCoderConfig};
+use rand::SeedableRng;
 
 use dc_tasks::domain::Domain;
 use dc_tasks::domains::list::ListDomain;
@@ -51,39 +53,42 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 #[test]
 fn resume_after_interrupt_matches_uninterrupted_run() {
-    let dir = tmpdir("interrupt");
-    // Reference: three cycles straight through.
-    let uninterrupted = {
-        let domain = ListDomain::new(0);
-        let mut dc = DreamCoder::new(&domain, deterministic_config(Condition::Full, 3, 11));
-        serde_json::to_string(&dc.run()).unwrap()
-    };
-    // Interrupted: run one cycle with checkpointing on, "crash", then
-    // resume from the newest checkpoint and finish the other two.
-    {
-        let domain = ListDomain::new(0);
-        let mut cfg = deterministic_config(Condition::Full, 1, 11);
-        cfg.checkpoint_dir = Some(dir.clone());
-        let mut dc = DreamCoder::new(&domain, cfg);
-        dc.run();
-    }
-    let resumed = {
-        let path = latest_checkpoint(&dir)
-            .unwrap()
-            .expect("checkpoint written");
-        let ckpt = Checkpoint::read(&path).unwrap();
-        assert_eq!(ckpt.cycles_completed(), 1);
-        let domain = ListDomain::new(0);
-        let mut dc =
-            DreamCoder::resume(&domain, deterministic_config(Condition::Full, 3, 11), &ckpt)
+    // EC2's unigram head is rebuilt from the condition on resume, like
+    // the bigram head of every other recognition condition.
+    for (tag, condition) in [("full", Condition::Full), ("ec2", Condition::Ec2)] {
+        let dir = tmpdir(&format!("interrupt-{tag}"));
+        // Reference: three cycles straight through.
+        let uninterrupted = {
+            let domain = ListDomain::new(0);
+            let mut dc = DreamCoder::new(&domain, deterministic_config(condition, 3, 11));
+            serde_json::to_string(&dc.run()).unwrap()
+        };
+        // Interrupted: run one cycle with checkpointing on, "crash", then
+        // resume from the newest checkpoint and finish the other two.
+        {
+            let domain = ListDomain::new(0);
+            let mut cfg = deterministic_config(condition, 1, 11);
+            cfg.checkpoint_dir = Some(dir.clone());
+            let mut dc = DreamCoder::new(&domain, cfg);
+            dc.run();
+        }
+        let resumed = {
+            let path = latest_checkpoint(&dir)
+                .unwrap()
+                .expect("checkpoint written");
+            let ckpt = Checkpoint::read(&path).unwrap();
+            assert_eq!(ckpt.cycles_completed(), 1);
+            let domain = ListDomain::new(0);
+            let mut dc = DreamCoder::resume(&domain, deterministic_config(condition, 3, 11), &ckpt)
                 .expect("resume");
-        serde_json::to_string(&dc.run()).unwrap()
-    };
-    assert_eq!(
-        resumed, uninterrupted,
-        "resumed trajectory diverged from the uninterrupted one"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+            serde_json::to_string(&dc.run()).unwrap()
+        };
+        assert_eq!(
+            resumed, uninterrupted,
+            "resumed trajectory diverged from the uninterrupted one ({condition:?})"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
@@ -189,7 +194,8 @@ fn resume_rejects_mismatched_runs() {
     ));
 
     // A recognition head other than the condition's: an EC2 checkpoint
-    // holding the bigram `L_MAP` head, as EC2 runs once trained.
+    // holding the bigram head, as EC2 runs once trained. The unigram head
+    // EC2 rebuilds is narrower than the stored network's output.
     let mut wrong_head = ckpt.clone();
     wrong_head.condition = Condition::Ec2.label().to_owned();
     assert!(matches!(
@@ -198,8 +204,32 @@ fn resume_rejects_mismatched_runs() {
             deterministic_config(Condition::Ec2, 1, 5),
             &wrong_head
         ),
-        Err(CheckpointError::Mismatch(_))
+        Err(CheckpointError::Recognition(_))
     ));
+
+    // Networks the model would index out of range are refused at load,
+    // not left to panic later: one reading fewer features than the
+    // domain gives, and one missing a weight of its first matrix.
+    let mlp = ckpt.recognition.as_ref().expect("Full trains a network");
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+    let mut narrow_input = ckpt.clone();
+    narrow_input.recognition = Some(Mlp::new(
+        &[domain.feature_dim() - 1, 8, mlp.output_dim()],
+        0.01,
+        &mut rng,
+    ));
+    let json = serde_json::to_string(mlp).unwrap();
+    let first_weights = json.find("\"data\":[").unwrap() + "\"data\":[".len();
+    let first_comma = first_weights + json[first_weights..].find(',').unwrap();
+    let dropped = format!("{}{}", &json[..first_weights], &json[first_comma + 1..]);
+    let mut missing_weight = ckpt.clone();
+    missing_weight.recognition = Some(serde_json::from_str(&dropped).unwrap());
+    for bad in [narrow_input, missing_weight] {
+        assert!(matches!(
+            DreamCoder::resume(&domain, deterministic_config(Condition::Full, 1, 5), &bad),
+            Err(CheckpointError::Recognition(_))
+        ));
+    }
 
     let mut bad_task = ckpt.clone();
     bad_task

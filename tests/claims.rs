@@ -378,7 +378,7 @@ fn symmetry_table() -> Vec<(String, f64, f64)> {
     ] {
         for (obj, oname) in [(Objective::Posterior, "L_post"), (Objective::Map, "L_MAP")] {
             let mut model =
-                RecognitionModel::new(Arc::clone(&library), 8, 16, param, obj, 0.02, &mut rng);
+                RecognitionModel::new(Arc::clone(&library), 8, 16, param, 0.02, &mut rng);
             let examples: Vec<TrainingExample> = targets
                 .iter()
                 .map(|(&v, progs)| TrainingExample {

@@ -8,7 +8,7 @@ use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::grammar::{Grammar, Library};
 use dreamcoder::lambda::primitives::base_primitives;
 use dreamcoder::lambda::Expr;
-use dreamcoder::recognition::{Objective, Parameterization, RecognitionModel, TrainingExample};
+use dreamcoder::recognition::{Parameterization, RecognitionModel, TrainingExample};
 use dreamcoder::tasks::domains::list::ListDomain;
 use dreamcoder::tasks::Domain;
 use dreamcoder::wakesleep::{search_task, Guide};
@@ -24,7 +24,6 @@ fn trained_recognition_prefers_the_right_programs_per_task() {
         domain.feature_dim(),
         32,
         Parameterization::Bigram,
-        Objective::Map,
         0.01,
         &mut rng,
     );
@@ -80,7 +79,6 @@ fn guided_search_still_solves_tasks() {
         domain.feature_dim(),
         16,
         Parameterization::Bigram,
-        Objective::Map,
         0.01,
         &mut rng,
     );
@@ -114,15 +112,7 @@ fn unigram_and_bigram_heads_share_the_library() {
     let lib = Arc::new(Library::from_primitives(prims.iter().cloned()));
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
     for param in [Parameterization::Unigram, Parameterization::Bigram] {
-        let model = RecognitionModel::new(
-            Arc::clone(&lib),
-            8,
-            8,
-            param,
-            Objective::Posterior,
-            0.01,
-            &mut rng,
-        );
+        let model = RecognitionModel::new(Arc::clone(&lib), 8, 8, param, 0.01, &mut rng);
         let cg = model.predict(&[0.0; 8]);
         assert_eq!(cg.library.len(), lib.len());
     }
@@ -147,7 +137,6 @@ fn untrained_residual_model_matches_generative_prior() {
         domain.feature_dim(),
         32,
         Parameterization::Bigram,
-        Objective::Map,
         0.01,
         &mut rng,
     );

@@ -190,14 +190,6 @@ impl Type {
         }
     }
 
-    /// Does the type contain any variables at all?
-    pub fn is_polymorphic(&self) -> bool {
-        match self {
-            Type::Var(_) => true,
-            Type::Con(_, args) => args.iter().any(Type::is_polymorphic),
-        }
-    }
-
     /// Apply a substitution encoded in `ctx`, resolving all bound variables.
     pub fn apply(&self, ctx: &Context) -> Type {
         match self {

@@ -322,13 +322,8 @@ impl RecognitionModel {
         // rebuilt it on every step) and one trace per example (the old code
         // re-derived them `epochs` times).
         let scorer = Grammar::uniform(Arc::clone(&self.library));
-        let prepared: Vec<Vec<(f64, Vec<GenEvent>)>> = {
-            use rayon::prelude::*;
-            examples
-                .par_iter()
-                .map(|ex| prepare_traces(&scorer, ex))
-                .collect()
-        };
+        let prepared: Vec<Vec<(f64, Vec<GenEvent>)>> =
+            rayon::map(examples, |ex| prepare_traces(&scorer, ex));
         let mut order: Vec<usize> = (0..examples.len()).collect();
         for epoch in 0..epochs {
             // Fisher-Yates shuffle.

@@ -25,7 +25,6 @@ use dc_grammar::inside_outside::fit_grammar;
 use dc_grammar::library::Library;
 use dc_lambda::expr::{Expr, Invented};
 use dc_lambda::types::Type;
-use rayon::prelude::*;
 
 use crate::extract::CandidateExtractor;
 use crate::space::{SpaceArena, SpaceNode};
@@ -240,10 +239,8 @@ fn propose_candidates(
                 .is_some_and(|fs| fs.is_built_from(&frontiers[i]))
         })
         .collect();
-    let built: Vec<FrontierSpaces> = stale
-        .par_iter()
-        .map(|&i| FrontierSpaces::build(&frontiers[i], config))
-        .collect();
+    let built: Vec<FrontierSpaces> =
+        rayon::map(&stale, |&i| FrontierSpaces::build(&frontiers[i], config));
     for (&i, fs) in stale.iter().zip(built) {
         if i < spaces.len() {
             spaces[i] = fs;
@@ -454,11 +451,7 @@ pub fn compress(
             // reduction stays deterministic even then.
             (Some(x), Some(y)) => x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal),
         };
-        let best = proposals
-            .par_iter()
-            .map(score_proposal)
-            .max_by_stable(cmp_scored)
-            .flatten();
+        let best = rayon::max_by_stable(&proposals, score_proposal, cmp_scored).flatten();
         let Some((score, invention, rewritten, g2)) = best else {
             break;
         };

@@ -15,7 +15,6 @@ use dc_tasks::task::Task;
 use dc_vspace::joint_score;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::Serialize;
 
 use crate::checkpoint::{self, Checkpoint, CheckpointError, TaskFrontier};
@@ -247,17 +246,14 @@ impl<'d> DreamCoder<'d> {
     /// model, by the generative grammar otherwise.
     fn search(&self, tasks: &[&Task], config: &EnumerationConfig) -> Vec<TaskSearchResult> {
         // `predict` decodes a full bigram tensor per task — parallelize it
-        // like the search itself. The collect preserves task order, so the
+        // like the search itself. `rayon::map` keeps task order, so the
         // guides (and everything downstream) are thread-count-invariant.
         let guides: Vec<Guide> = {
             let _span = dc_telemetry::span("wake.predict");
-            tasks
-                .par_iter()
-                .map(|task| match &self.recognition {
-                    Some(model) => Guide::Recognition(model.predict(&task.features)),
-                    None => Guide::Generative(self.grammar.clone()),
-                })
-                .collect()
+            rayon::map(tasks, |task| match &self.recognition {
+                Some(model) => Guide::Recognition(model.predict(&task.features)),
+                None => Guide::Generative(self.grammar.clone()),
+            })
         };
         wake(tasks, &guides, &self.grammar, BEAM_SIZE, config)
     }

@@ -15,7 +15,6 @@ use dc_tasks::domain::Domain;
 use dc_tasks::task::Task;
 use dc_vspace::{compress, joint_score, CompressionConfig, CompressionResult};
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::config::Condition;
 use crate::wake::{isolate_panics, search_task, Guide, SearchOutcome};
@@ -201,21 +200,18 @@ pub fn generate_fantasies(
         let lo = wave * config.fantasies as u64;
         let slots: Vec<u64> = (lo..lo + config.fantasies as u64).collect();
         let parent = dc_telemetry::current_span();
-        let produced: Vec<Option<TrainingExample>> = slots
-            .par_iter()
-            .map(|&slot| {
-                let _span = dc_telemetry::span_under(parent, "dream.fantasy");
-                // A panicking domain evaluator (in `dream` or in the MAP
-                // search's oracle) costs this slot, not the dream sleep.
-                isolate_panics(
-                    "dream.fantasy_panics",
-                    "dream.fantasy_panic",
-                    || ("slot", slot.into()),
-                    || fantasy_attempt(domain, grammar, &requests, config, stream_key, slot),
-                )
-                .flatten()
-            })
-            .collect();
+        let produced: Vec<Option<TrainingExample>> = rayon::map(&slots, |&slot| {
+            let _span = dc_telemetry::span_under(parent, "dream.fantasy");
+            // A panicking domain evaluator (in `dream` or in the MAP
+            // search's oracle) costs this slot, not the dream sleep.
+            isolate_panics(
+                "dream.fantasy_panics",
+                "dream.fantasy_panic",
+                || ("slot", slot.into()),
+                || fantasy_attempt(domain, grammar, &requests, config, stream_key, slot),
+            )
+            .flatten()
+        });
         examples.extend(produced.into_iter().flatten());
         if examples.len() >= config.fantasies {
             break;

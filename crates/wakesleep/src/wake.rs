@@ -9,7 +9,6 @@ use dc_grammar::enumeration::{enumerate_programs_stats, EnumerationConfig, Enume
 use dc_grammar::frontier::{Frontier, FrontierEntry};
 use dc_grammar::grammar::{ContextualGrammar, Grammar, ProgramPrior};
 use dc_tasks::task::Task;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// What guides the search for one task.
@@ -333,19 +332,15 @@ pub fn wake(
     // Worker threads start with empty span stacks; carry the caller's
     // innermost span in by handle so per-group spans nest under the phase.
     let parent = dc_telemetry::current_span();
-    let searched: Vec<Vec<TaskSearchResult>> = (0..groups.len())
-        .into_par_iter()
-        .map(|g| {
-            let members = &groups[g];
-            let _span = dc_telemetry::span_under_with_fields(
-                parent,
-                "wake.search",
-                &[("task", members[0].into()), ("tasks", members.len().into())],
-            );
-            let group: Vec<&Task> = members.iter().map(|&idx| tasks[idx]).collect();
-            search_group(&group, &guides[members[0]], scorer, beam_size, config)
-        })
-        .collect();
+    let searched: Vec<Vec<TaskSearchResult>> = rayon::map(&groups, |members| {
+        let _span = dc_telemetry::span_under_with_fields(
+            parent,
+            "wake.search",
+            &[("task", members[0].into()), ("tasks", members.len().into())],
+        );
+        let group: Vec<&Task> = members.iter().map(|&idx| tasks[idx]).collect();
+        search_group(&group, &guides[members[0]], scorer, beam_size, config)
+    });
     let mut results: Vec<Option<TaskSearchResult>> = vec![None; tasks.len()];
     for (members, group) in groups.iter().zip(searched) {
         for (&idx, result) in members.iter().zip(group) {

@@ -32,6 +32,9 @@ use crate::space::{SpaceArena, SpaceNode};
 /// AIC weight per continuous degree of freedom (one per production).
 const AIC_WEIGHT: f64 = 1.0;
 
+/// Dirichlet pseudo-count used when re-fitting `θ`.
+const PSEUDOCOUNT: f64 = 1.0;
+
 /// Minimum syntax-tree size of a proposed routine.
 const MIN_CANDIDATE_SIZE: usize = 3;
 
@@ -44,7 +47,8 @@ pub struct CompressionConfig {
     pub top_candidates: usize,
     /// `λ` in `P[D] ∝ exp(-λ Σ size(ρ))`.
     pub structure_penalty: f64,
-    /// Dirichlet pseudo-count used when re-fitting `θ`.
+    /// Has no effect: `θ` is re-fit with the fixed pseudo-count 1. The
+    /// field stays only because `dcbench/` reads it.
     pub pseudocounts: f64,
     /// Cap on inventions accepted in one sleep.
     pub max_inventions: usize,
@@ -56,7 +60,7 @@ impl Default for CompressionConfig {
             refactor_steps: 3,
             top_candidates: 100,
             structure_penalty: 1.5,
-            pseudocounts: 1.0,
+            pseudocounts: PSEUDOCOUNT,
             max_inventions: 10,
         }
     }
@@ -95,7 +99,7 @@ pub fn joint_score(
     frontiers: &mut [Frontier],
     config: &CompressionConfig,
 ) -> (Grammar, f64) {
-    let grammar = fit_grammar(library, frontiers, config.pseudocounts);
+    let grammar = fit_grammar(library, frontiers, PSEUDOCOUNT);
     let mut total = 0.0;
     for f in frontiers.iter_mut() {
         let request = f.request.clone();

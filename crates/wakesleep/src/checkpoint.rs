@@ -198,29 +198,33 @@ impl Checkpoint {
     }
 }
 
+/// The checkpoints in `dir` as `(completed cycles, path)` pairs, oldest
+/// first; a missing directory holds none. Files whose names do not parse
+/// (a torn `.tmp` write, anything unrelated) are not checkpoints.
+fn checkpoints(dir: &Path) -> Result<Vec<(usize, PathBuf)>, std::io::Error> {
+    let entries = match fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut found = Vec::new();
+    for entry in entries {
+        let entry = entry?;
+        if let Some(cycle) = entry.file_name().to_str().and_then(parse_cycle) {
+            found.push((cycle, entry.path()));
+        }
+    }
+    found.sort();
+    Ok(found)
+}
+
 /// The newest checkpoint in `dir` (highest completed-cycle count), if any.
 ///
 /// # Errors
 /// Propagates directory-listing failures; a missing directory reads as
 /// "no checkpoints".
 pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, std::io::Error> {
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut best: Option<(usize, PathBuf)> = None;
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(cycle) = name.to_str().and_then(parse_cycle) else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(c, _)| cycle > *c) {
-            best = Some((cycle, entry.path()));
-        }
-    }
-    Ok(best.map(|(_, p)| p))
+    Ok(checkpoints(dir)?.pop().map(|(_, path)| path))
 }
 
 /// Delete all but the `keep` newest checkpoints in `dir`; returns the
@@ -231,20 +235,7 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, std::io::Error> 
 /// Propagates directory-listing and unlink failures.
 pub fn prune_checkpoints(dir: &Path, keep: usize) -> Result<Vec<PathBuf>, std::io::Error> {
     let keep = keep.max(1);
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut found: Vec<(usize, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        if let Some(cycle) = name.to_str().and_then(parse_cycle) {
-            found.push((cycle, entry.path()));
-        }
-    }
-    found.sort_by_key(|(c, _)| *c);
+    let found = checkpoints(dir)?;
     let excess = found.len().saturating_sub(keep);
     let mut removed = Vec::with_capacity(excess);
     for (_, path) in found.into_iter().take(excess) {
@@ -335,6 +326,33 @@ mod tests {
         let removed = prune_checkpoints(&dir, 0).unwrap();
         assert_eq!(removed.len(), 1);
         assert!(latest_checkpoint(&dir).unwrap().is_some());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_directory_scan_skips_what_is_not_a_checkpoint() {
+        let dir = tmpdir("scan");
+        assert_eq!(latest_checkpoint(&dir).unwrap(), None);
+        assert!(prune_checkpoints(&dir, 1).unwrap().is_empty());
+        for c in 1..=3 {
+            dummy(c).write_atomic(&dir).unwrap();
+        }
+        let strays = [
+            ".checkpoint-cycle-00009.json.tmp",
+            "notes.txt",
+            "checkpoint-cycle-xyz.json",
+        ];
+        for name in strays {
+            fs::write(dir.join(name), "{ torn").unwrap();
+        }
+        let latest = latest_checkpoint(&dir).unwrap().expect("some checkpoint");
+        assert!(latest.ends_with("checkpoint-cycle-00003.json"));
+        let removed = prune_checkpoints(&dir, 1).unwrap();
+        assert_eq!(removed.len(), 2);
+        for name in strays {
+            assert!(dir.join(name).exists(), "{name} was pruned");
+        }
+        assert_eq!(latest_checkpoint(&dir).unwrap(), Some(latest));
         fs::remove_dir_all(&dir).unwrap();
     }
 

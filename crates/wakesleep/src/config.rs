@@ -5,13 +5,22 @@ use dc_recognition::{Objective, Parameterization};
 use dc_vspace::CompressionConfig;
 
 /// Which components are enabled — the experimental conditions of Fig 7.
+///
+/// Each condition-dependent decision is one exhaustive `match`: the
+/// recognition head in [`Condition::recognition_head`], what the sleep
+/// phase learns in [`crate::DreamCoder::run`], and how the library grows in
+/// [`crate::sleep::abstraction_sleep`]. A run dreams iff it has a
+/// recognition model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Condition {
     /// Full DreamCoder: refactoring compression + bigram recognition.
     Full,
-    /// Ablate the recognition model ("Abstraction only" / No Rec).
+    /// Ablate the recognition model ("Abstraction only" / No Rec):
+    /// refactoring compression alone.
     NoRecognition,
-    /// Ablate library learning ("Dreaming only" / No Lib).
+    /// Ablate library learning ("Dreaming only" / No Lib): the library
+    /// stays the initial one, but θ is refit to the discovered programs
+    /// each cycle and the bigram recognition model trains.
     NoCompression,
     /// Incorporate solutions wholesale instead of refactoring (Memorize).
     Memorize {
@@ -24,10 +33,11 @@ pub enum Condition {
     /// Minibatched EC2: subtree-based compression plus a *unigram*
     /// recognition model trained on the posterior objective.
     Ec2,
-    /// Pure type-directed enumeration, no learning at all.
+    /// Pure type-directed enumeration under the initial library with
+    /// uniform θ: no learning at all.
     EnumerationOnly,
     /// RobustFill-style: train the recognition model on samples from the
-    /// *initial* library only; no library learning.
+    /// *initial* library with uniform θ; neither the library nor θ learns.
     NeuralOnly,
 }
 
@@ -51,23 +61,6 @@ impl Condition {
             | Condition::Ec
             | Condition::EnumerationOnly => None,
         }
-    }
-
-    /// Does this condition train a recognition model?
-    pub fn uses_recognition(&self) -> bool {
-        self.recognition_head().is_some()
-    }
-
-    /// Does this condition grow the library?
-    pub fn uses_compression(&self) -> bool {
-        matches!(
-            self,
-            Condition::Full
-                | Condition::NoRecognition
-                | Condition::Memorize { .. }
-                | Condition::Ec
-                | Condition::Ec2
-        )
     }
 
     /// Short label used in experiment tables.
@@ -184,20 +177,6 @@ impl Default for DreamCoderConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn condition_flags_are_consistent() {
-        assert!(Condition::Full.uses_recognition());
-        assert!(Condition::Full.uses_compression());
-        assert!(!Condition::NoRecognition.uses_recognition());
-        assert!(Condition::NoRecognition.uses_compression());
-        assert!(Condition::NoCompression.uses_recognition());
-        assert!(!Condition::NoCompression.uses_compression());
-        assert!(!Condition::EnumerationOnly.uses_recognition());
-        assert!(!Condition::EnumerationOnly.uses_compression());
-        assert!(!Condition::NeuralOnly.uses_compression());
-        assert!(Condition::NeuralOnly.uses_recognition());
-    }
 
     #[test]
     fn the_default_budgets_are_nats_alone() {

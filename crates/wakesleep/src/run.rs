@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use crate::checkpoint::{self, Checkpoint, CheckpointError, TaskFrontier};
-use crate::config::DreamCoderConfig;
+use crate::config::{Condition, DreamCoderConfig};
 use crate::sleep::{abstraction_sleep, dream_sleep};
 use crate::wake::{wake, Guide, SearchTrace, TaskSearchResult};
 use dc_grammar::persist::{load_frontier, load_grammar, save_frontier, save_grammar};
@@ -297,12 +297,14 @@ impl<'d> DreamCoder<'d> {
                 f
             })
             .collect();
-        let result = abstraction_sleep(
+        let Some(result) = abstraction_sleep(
             &self.grammar.library,
             &fronts,
             &self.config.compression,
             self.config.condition,
-        );
+        ) else {
+            return Vec::new();
+        };
         for (slot, f) in self.frontiers.values_mut().zip(result.frontiers) {
             *slot = f;
         }
@@ -322,7 +324,25 @@ impl<'d> DreamCoder<'d> {
         new
     }
 
-    /// One dream sleep (no-op when the condition has no recognition model).
+    /// Re-fit θ to the stored beams (the θ update is free) and rescore
+    /// them, so beam order, replay targets and checkpoints agree with it.
+    /// The fit sums in frontier order, which is task-index order.
+    fn refit_cycle(&mut self) {
+        if self.frontiers.is_empty() {
+            return;
+        }
+        let mut fronts: Vec<Frontier> = self.frontiers.values().cloned().collect();
+        let (grammar, _) =
+            joint_score(&self.grammar.library, &mut fronts, &self.config.compression);
+        self.grammar = grammar;
+        for (slot, f) in self.frontiers.values_mut().zip(fronts) {
+            *slot = f;
+        }
+    }
+
+    /// One dream sleep, when the run has a recognition model. The network
+    /// predicts a residual on top of the current θ, which it takes as its
+    /// prior bias first (see `RecognitionModel`).
     fn dream_cycle(&mut self) {
         let (Some(model), Some((_, objective))) = (
             self.recognition.as_mut(),
@@ -330,6 +350,9 @@ impl<'d> DreamCoder<'d> {
         ) else {
             return;
         };
+        dc_telemetry::set_status("phase", "dream");
+        let _dream = dc_telemetry::span("cycle.dream");
+        model.set_prior_bias(Some(self.grammar.weights.clone()));
         let train = self.domain.train_tasks();
         // NeuralOnly (RobustFill-style) trains on samples from the *initial*
         // library: its grammar never changes, so this is the same call.
@@ -393,49 +416,37 @@ impl<'d> DreamCoder<'d> {
             {
                 dc_telemetry::set_status("phase", "compression");
                 let _compression = dc_telemetry::span("cycle.compression");
-                if self.config.condition.uses_compression() {
-                    new_inventions = self.abstraction_cycle();
-                } else if !self.frontiers.is_empty() {
-                    // Still re-fit θ to the discovered programs (wake maximizes
-                    // ℒ w.r.t. beams; θ update is free), and rescore the stored
-                    // beams so beam ordering, dream-sleep replay targets and
-                    // checkpoints all agree with the refit grammar. Float
-                    // summation order inside the fit follows frontier order,
-                    // which is task-index order.
-                    let mut fronts: Vec<Frontier> = self.frontiers.values().cloned().collect();
-                    let (grammar, _) =
-                        joint_score(&self.grammar.library, &mut fronts, &self.config.compression);
-                    self.grammar = grammar;
-                    for (slot, f) in self.frontiers.values_mut().zip(fronts) {
-                        *slot = f;
-                    }
+                match self.config.condition {
+                    Condition::Full
+                    | Condition::NoRecognition
+                    | Condition::Memorize { .. }
+                    | Condition::Ec
+                    | Condition::Ec2 => new_inventions = self.abstraction_cycle(),
+                    Condition::NoCompression => self.refit_cycle(),
+                    Condition::EnumerationOnly | Condition::NeuralOnly => {}
                 }
             }
-            if self.config.condition.uses_recognition() {
-                dc_telemetry::set_status("phase", "dream");
-                let _dream = dc_telemetry::span("cycle.dream");
-                // The network predicts a residual on top of the current
-                // fitted generative weights (see RecognitionModel docs).
-                let bias = self.grammar.weights.clone();
-                if let Some(model) = self.recognition.as_mut() {
-                    model.set_prior_bias(Some(bias));
-                }
-                self.dream_cycle();
-            }
+            self.dream_cycle();
             dc_telemetry::set_status("phase", "eval");
             let eval_timer = dc_telemetry::span("cycle.eval");
             let test_solved =
                 self.evaluate(self.domain.test_tasks(), &self.config.test_enumeration);
             drop(eval_timer);
+            let stats = CycleStats {
+                cycle,
+                train_solved: self.frontiers.len(),
+                test_solved,
+                library_size: self.grammar.library.len(),
+                library_depth: self.grammar.library.depth(),
+                new_inventions,
+                search_traces,
+            };
             dc_telemetry::incr("cycle.count");
-            dc_telemetry::set_gauge("library.size", self.grammar.library.len() as f64);
-            dc_telemetry::set_gauge("library.depth", self.grammar.library.depth() as f64);
-            dc_telemetry::set_gauge("train.solved", self.frontiers.len() as f64);
-            dc_telemetry::set_gauge("test.solved_fraction", test_solved);
+            dc_telemetry::set_gauge("library.size", stats.library_size as f64);
+            dc_telemetry::set_gauge("library.depth", stats.library_depth as f64);
+            dc_telemetry::set_gauge("train.solved", stats.train_solved as f64);
+            dc_telemetry::set_gauge("test.solved_fraction", stats.test_solved);
             dc_telemetry::set_status("cycles_completed", cycle + 1);
-            dc_telemetry::set_status("train_solved", self.frontiers.len());
-            dc_telemetry::set_status("test_solved_fraction", test_solved);
-            dc_telemetry::set_status("library_size", self.grammar.library.len());
             dc_telemetry::event(
                 dc_telemetry::Level::Info,
                 "cycle.complete",
@@ -445,22 +456,14 @@ impl<'d> DreamCoder<'d> {
                         "total_ms",
                         (cycle_timer.elapsed().as_millis() as u64).into(),
                     ),
-                    ("train_solved", self.frontiers.len().into()),
-                    ("test_solved", test_solved.into()),
-                    ("library_size", self.grammar.library.len().into()),
-                    ("new_inventions", new_inventions.len().into()),
+                    ("train_solved", stats.train_solved.into()),
+                    ("test_solved", stats.test_solved.into()),
+                    ("library_size", stats.library_size.into()),
+                    ("new_inventions", stats.new_inventions.len().into()),
                 ],
             );
             drop(cycle_timer);
-            self.stats.push(CycleStats {
-                cycle,
-                train_solved: self.frontiers.len(),
-                test_solved,
-                library_size: self.grammar.library.len(),
-                library_depth: self.grammar.library.depth(),
-                new_inventions,
-                search_traces,
-            });
+            self.stats.push(stats);
             if let Some(dir) = self.config.checkpoint_dir.clone() {
                 let ckpt = self.checkpoint();
                 match ckpt.write_atomic(&dir) {
@@ -512,7 +515,7 @@ impl<'d> DreamCoder<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Condition;
+    use dc_grammar::library::WeightVector;
     use dc_tasks::domains::list::ListDomain;
 
     fn quick_config(condition: Condition) -> DreamCoderConfig {
@@ -602,19 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_only_never_learns() {
-        let domain = ListDomain::new(0);
-        let mut dc = DreamCoder::new(&domain, quick_config(Condition::EnumerationOnly));
-        let summary = dc.run();
-        assert!(summary.library.is_empty());
-        let sizes: Vec<usize> = summary.cycles.iter().map(|c| c.library_size).collect();
-        assert!(
-            sizes.windows(2).all(|w| w[0] == w[1]),
-            "library must not grow"
-        );
-    }
-
-    #[test]
     fn memorize_grows_library_without_depth() {
         let domain = ListDomain::new(0);
         let mut dc = DreamCoder::new(
@@ -675,22 +665,52 @@ mod tests {
     }
 
     #[test]
-    fn no_compression_refit_rescores_stored_frontiers() {
-        // Regression test: the θ-refit branch used to refit the grammar but
-        // leave the stored beams scored under the stale θ.
+    fn library_free_conditions_keep_the_initial_library_and_only_no_library_refits_theta() {
         let domain = ListDomain::new(0);
-        let mut dc = DreamCoder::new(&domain, quick_config(Condition::NoCompression));
-        dc.run();
-        assert!(!dc.frontiers.is_empty(), "should solve some tasks");
-        for frontier in dc.frontiers.values() {
-            for entry in &frontier.entries {
-                let expected = dc.grammar.log_prior(&frontier.request, &entry.expr);
-                assert!(
-                    (entry.log_prior - expected).abs() < 1e-9,
-                    "stored prior {} disagrees with refit grammar {}",
-                    entry.log_prior,
-                    expected
-                );
+        let names = |library: &dc_grammar::library::Library| -> Vec<String> {
+            library.items.iter().map(LibraryItem::name).collect()
+        };
+        let initial = names(&domain.initial_library());
+        for condition in [
+            Condition::NoCompression,
+            Condition::EnumerationOnly,
+            Condition::NeuralOnly,
+        ] {
+            let mut dc = DreamCoder::new(&domain, quick_config(condition));
+            let summary = dc.run();
+            assert_eq!(names(&dc.grammar.library), initial, "{condition:?}");
+            assert!(summary.library.is_empty(), "{condition:?}");
+            assert!(
+                summary
+                    .cycles
+                    .iter()
+                    .all(|c| c.library_size == initial.len()),
+                "{condition:?}"
+            );
+            assert!(
+                !dc.frontiers.is_empty(),
+                "{condition:?} should solve some tasks"
+            );
+            // No Library refits θ to its frontiers; Enumeration and Neural
+            // synthesis keep the initial, uniform θ.
+            assert_eq!(
+                dc.grammar.weights == WeightVector::uniform(initial.len()),
+                condition != Condition::NoCompression,
+                "{condition:?}: {:?}",
+                dc.grammar.weights
+            );
+            // Regression test: the θ refit used to leave the stored beams
+            // scored under the stale θ.
+            for frontier in dc.frontiers.values() {
+                for entry in &frontier.entries {
+                    let expected = dc.grammar.log_prior(&frontier.request, &entry.expr);
+                    assert!(
+                        (entry.log_prior - expected).abs() < 1e-9,
+                        "{condition:?}: stored prior {} disagrees with the grammar's {}",
+                        entry.log_prior,
+                        expected
+                    );
+                }
             }
         }
     }

@@ -26,28 +26,31 @@ const SAMPLE_DEPTH: usize = 10;
 /// none.
 pub const MAP_FANTASY_NATS: f64 = 6.5;
 
-/// Run abstraction sleep under the given experimental condition.
+/// Run abstraction sleep under the given experimental condition, or
+/// `None` when the condition grows no library.
 ///
 /// * `Full` / `NoRecognition` — refactoring compression (the paper's).
 /// * `Ec` / `Ec2` — compression with **zero** inverse-β steps: candidates
 ///   come only from surface subtrees of the solutions (EC-style).
 /// * `Memorize` — incorporate each task's MAP solution wholesale.
+/// * `NoCompression` / `EnumerationOnly` / `NeuralOnly` — `None`.
 pub fn abstraction_sleep(
     library: &Arc<Library>,
     frontiers: &[Frontier],
     config: &CompressionConfig,
     condition: Condition,
-) -> CompressionResult {
+) -> Option<CompressionResult> {
     match condition {
-        Condition::Memorize { .. } => memorize(library, frontiers, config),
+        Condition::Full | Condition::NoRecognition => Some(compress(library, frontiers, config)),
+        Condition::Memorize { .. } => Some(memorize(library, frontiers, config)),
         Condition::Ec | Condition::Ec2 => {
             let cfg = CompressionConfig {
                 refactor_steps: 0,
                 ..config.clone()
             };
-            compress(library, frontiers, &cfg)
+            Some(compress(library, frontiers, &cfg))
         }
-        _ => compress(library, frontiers, config),
+        Condition::NoCompression | Condition::EnumerationOnly | Condition::NeuralOnly => None,
     }
 }
 
@@ -317,12 +320,48 @@ mod tests {
             Condition::Memorize {
                 with_recognition: false,
             },
-        );
+        )
+        .expect("Memorize grows the library");
         assert_eq!(result.steps.len(), 2, "both solutions memorized verbatim");
         assert_eq!(result.library.len(), lib.len() + 2);
         // Memorized frontiers collapse to a single call of the routine.
         for f in &result.frontiers {
             assert!(f.entries[0].expr.size() <= 4, "got {}", f.entries[0].expr);
+        }
+    }
+
+    #[test]
+    fn only_library_growing_conditions_run_abstraction_sleep() {
+        let prims = base_primitives();
+        let lib = Arc::new(Library::from_primitives(prims.iter().cloned()));
+        let g = Grammar::uniform(Arc::clone(&lib));
+        let t = Type::arrow(tlist(tint()), tlist(tint()));
+        let frontiers = vec![frontier_for(&g, "(lambda (map (lambda (+ $0 1)) $0))", t)];
+        let cfg = CompressionConfig {
+            refactor_steps: 1,
+            ..CompressionConfig::default()
+        };
+        let grows = |condition| abstraction_sleep(&lib, &frontiers, &cfg, condition).is_some();
+        for condition in [
+            Condition::Full,
+            Condition::NoRecognition,
+            Condition::Memorize {
+                with_recognition: true,
+            },
+            Condition::Memorize {
+                with_recognition: false,
+            },
+            Condition::Ec,
+            Condition::Ec2,
+        ] {
+            assert!(grows(condition), "{condition:?}");
+        }
+        for condition in [
+            Condition::NoCompression,
+            Condition::EnumerationOnly,
+            Condition::NeuralOnly,
+        ] {
+            assert!(!grows(condition), "{condition:?}");
         }
     }
 
@@ -345,7 +384,8 @@ mod tests {
             top_candidates: 50,
             ..CompressionConfig::default()
         };
-        let result = abstraction_sleep(&lib, &frontiers, &cfg, Condition::Ec);
+        let result =
+            abstraction_sleep(&lib, &frontiers, &cfg, Condition::Ec).expect("EC grows the library");
         assert!(
             result.steps.is_empty(),
             "EC should not discover refactoring-only abstractions: {:?}",

@@ -9,12 +9,14 @@
 //! refactoring spaces, the candidate bodies sampled from them and the
 //! candidate-free extraction are built once and kept until an accepted
 //! invention changes one of the frontier's programs; the frontiers it
-//! leaves alone keep theirs into the next iteration. Scoring a candidate
-//! then re-costs only the space nodes that contain its body, and their
-//! ancestors (see [`CandidateExtractor`]). Every frontier is still
-//! rewritten for every candidate, and the result is bit-identical to
-//! rebuilding everything each iteration.
+//! leaves alone keep theirs into the next iteration. A build samples each
+//! space node once, however many abstractions lie above it. Scoring a
+//! candidate then re-costs only the space nodes that contain its body and
+//! the ancestors whose cost that changes (see [`CandidateExtractor`]).
+//! Every frontier is still rewritten for every candidate, and the result
+//! is bit-identical to rebuilding everything each iteration.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -27,7 +29,7 @@ use dc_lambda::expr::{Expr, Invented};
 use dc_lambda::types::Type;
 
 use crate::extract::CandidateExtractor;
-use crate::space::{SpaceArena, SpaceNode};
+use crate::space::{SpaceArena, SpaceId, SpaceNode};
 
 /// AIC weight per continuous degree of freedom (one per production).
 const AIC_WEIGHT: f64 = 1.0;
@@ -153,40 +155,44 @@ impl FrontierSpaces {
     /// routine bodies.
     fn build(f: &Frontier, config: &CompressionConfig) -> FrontierSpaces {
         let mut arena = SpaceArena::new();
-        let mut spaces = Vec::with_capacity(f.entries.len());
+        let spaces: Vec<SpaceId> = f
+            .entries
+            .iter()
+            .map(|entry| arena.refactor(&entry.expr, config.refactor_steps))
+            .collect();
+        // Free the inversion memos before sampling, so the two are never
+        // held at once.
+        arena.clear_memos();
+        let extractor = CandidateExtractor::new(&arena, &spaces);
         let mut bodies: HashSet<Expr> = HashSet::new();
-        for entry in &f.entries {
-            let space = arena.refactor(&entry.expr, config.refactor_steps);
-            for id in arena.reachable(space) {
-                if !matches!(arena.node(id), SpaceNode::Abstraction(_)) {
+        // Every node reachable from any entry, each sampled once.
+        arena.sample_each(&extractor.nodes(), 4, |id, sample| {
+            if !matches!(arena.node(id), SpaceNode::Abstraction(_)) {
+                return;
+            }
+            for sampled in sample {
+                // Propose the β-normal form: candidates with residual
+                // redexes are equivalent but print (and weigh) worse.
+                let Some(body) = sampled.beta_normal_form(1_000) else {
+                    continue;
+                };
+                // Pure variable-shuffling combinators (no primitive or
+                // invented leaf) occur in every program's refactorings
+                // but never compress anything: drop them early.
+                if body.size() < MIN_CANDIDATE_SIZE
+                    || !matches!(body, Expr::Abstraction(_))
+                    || !body.is_closed()
+                    || !has_library_leaf(&body)
+                {
                     continue;
                 }
-                for sampled in arena.extension_sample(id, 4) {
-                    // Propose the β-normal form: candidates with residual
-                    // redexes are equivalent but print (and weigh) worse.
-                    let Some(body) = sampled.beta_normal_form(1_000) else {
-                        continue;
-                    };
-                    // Pure variable-shuffling combinators (no primitive or
-                    // invented leaf) occur in every program's refactorings
-                    // but never compress anything: drop them early.
-                    if body.size() < MIN_CANDIDATE_SIZE
-                        || !matches!(body, Expr::Abstraction(_))
-                        || !body.is_closed()
-                        || !has_library_leaf(&body)
-                    {
-                        continue;
-                    }
-                    bodies.insert(body);
-                }
+                bodies.insert(body);
             }
-            spaces.push(space);
-        }
-        arena.clear_memos();
+        });
         FrontierSpaces {
             request: f.request.clone(),
             exprs: f.entries.iter().map(|e| e.expr.clone()).collect(),
-            extractor: CandidateExtractor::new(&arena, &spaces),
+            extractor,
             arena,
             bodies,
         }
@@ -226,7 +232,8 @@ fn has_library_leaf(e: &Expr) -> bool {
 /// filter runs here, at the merge, so kept bodies stay valid after the
 /// library grows.
 ///
-/// Stale frontiers build in parallel; the merge counts each body once per
+/// Stale frontiers build in parallel, largest programs first, and each
+/// build lands at its frontier's index; the merge counts each body once per
 /// frontier, and the final ranking sorts on a total key (score, then
 /// printed body), so the proposal list is deterministic. Types are
 /// checked in rank order, only until `top_candidates` bodies pass.
@@ -236,16 +243,30 @@ fn propose_candidates(
     spaces: &mut Vec<FrontierSpaces>,
     config: &CompressionConfig,
 ) -> Vec<CandidateProposal> {
-    let stale: Vec<usize> = (0..frontiers.len())
+    let mut stale: Vec<usize> = (0..frontiers.len())
         .filter(|&i| {
             !spaces
                 .get(i)
                 .is_some_and(|fs| fs.is_built_from(&frontiers[i]))
         })
         .collect();
+    // Largest programs first: a build's cost grows with its programs'
+    // size, so the fan-out ends on small builds and no worker is left
+    // waiting on a large one that was claimed last.
+    stale.sort_by_key(|&i| {
+        Reverse(
+            frontiers[i]
+                .entries
+                .iter()
+                .map(|e| e.expr.size())
+                .sum::<usize>(),
+        )
+    });
     let built: Vec<FrontierSpaces> =
         rayon::map(&stale, |&i| FrontierSpaces::build(&frontiers[i], config));
-    for (&i, fs) in stale.iter().zip(built) {
+    let mut built: Vec<(usize, FrontierSpaces)> = stale.iter().copied().zip(built).collect();
+    built.sort_unstable_by_key(|&(i, _)| i);
+    for (i, fs) in built {
         if i < spaces.len() {
             spaces[i] = fs;
         } else {

@@ -12,17 +12,18 @@
 //! full pass allocates no expression nodes off the optimal path and
 //! touches no hash maps.
 //!
-//! A candidate changes the cost of only the nodes whose extension contains
-//! its body, and of their ancestors: a few dozen of the ~10⁴ nodes of a
-//! frontier's refactoring space. Abstraction sleep scores every
-//! (proposal, frontier) pair through [`CandidateExtractor`], which keeps
-//! one candidate-free pass per frontier and, per candidate, finds the
-//! containing nodes bottom-up through parent edges and re-costs only those
-//! nodes and their ancestors, in small hash-keyed overlays on the kept
-//! pass. It returns exactly what [`Matcher`] with
-//! [`SpaceArena::minimal_inhabitant`] returns.
+//! A candidate changes the slot of only the nodes whose extension contains
+//! its body, and of the ancestors whose cost that changes: a few of the
+//! ~10⁴ nodes of a frontier's refactoring space. Abstraction sleep scores
+//! every (proposal, frontier) pair through [`CandidateExtractor`], which
+//! keeps one candidate-free pass per frontier and, per candidate, finds
+//! the containing nodes by hash-cons lookup, then re-costs them and, in
+//! ascending id order, the parents of every node whose cost changed. It
+//! stores only the slots that differ from the kept pass, and returns
+//! exactly what [`Matcher`] with [`SpaceArena::minimal_inhabitant`]
+//! returns.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dc_lambda::expr::{Expr, Invented};
@@ -99,9 +100,8 @@ impl ExtractionMemo {
 #[derive(Debug, Clone, Copy)]
 enum Pat {
     Index(usize),
-    /// A primitive/invented leaf, or any subterm compared wholesale
-    /// against a terminal space node; the expression lives in
-    /// `Matcher::exprs` at the same index.
+    /// A primitive or invented leaf, compared against terminal space
+    /// nodes; the expression lives in `Matcher::exprs` at the same index.
     Leaf,
     Abstraction(u32),
     Application(u32, u32),
@@ -351,20 +351,18 @@ fn narrow(v: SpaceId) -> u32 {
     u32::try_from(v).expect("arena ids fit in 32 bits")
 }
 
-/// Call `f` on each child of `node`, once per distinct child.
-fn for_each_child(node: &SpaceNode, mut f: impl FnMut(SpaceId)) {
-    match node {
-        SpaceNode::Abstraction(b) => f(*b),
-        SpaceNode::Application(a, b) => {
-            f(*a);
-            if b != a {
-                f(*b);
-            }
-        }
-        SpaceNode::Union(ms) => ms.iter().copied().for_each(f),
-        _ => {}
+/// A slot's cost, the only part of a child's slot that [`SpaceArena::settle`]
+/// reads; `None` when the node has no inhabitant.
+fn cost(slot: Slot) -> Option<u32> {
+    match slot {
+        Slot::Done { cost, .. } => Some(cost),
+        _ => None,
     }
 }
+
+/// Nodes re-costed by [`CandidateExtractor::extract`], summed over calls.
+static NODES_RECOSTED: dc_telemetry::CachedCounter =
+    dc_telemetry::CachedCounter::new("compression.nodes_recosted");
 
 /// Extraction from fixed roots of one arena under one candidate
 /// invention at a time, for scoring many candidates against the same
@@ -372,19 +370,21 @@ fn for_each_child(node: &SpaceNode, mut f: impl FnMut(SpaceId)) {
 ///
 /// Built once, it holds the candidate-free slot of every node reachable
 /// from the roots and the reverse edges between those nodes. A candidate
-/// can lower the cost of a node only where the node's extension contains
-/// the candidate's body, or below it, so [`CandidateExtractor::extract`]
-/// finds the containing nodes bottom-up, pattern subterm by pattern
-/// subterm, and re-costs only them and their ancestors. Every other node
-/// keeps its candidate-free slot, which is exactly what the full pass
-/// would compute for it.
+/// can change a node's slot only where the node's extension contains the
+/// candidate's body, or where a child's cost changed, so
+/// [`CandidateExtractor::extract`] finds the containing nodes by
+/// hash-cons lookup, pattern subterm by pattern subterm, and re-costs
+/// them, then each parent of a node whose cost changed, in ascending id
+/// order. Only the slots that differ from the candidate-free ones are
+/// stored; every other node keeps its candidate-free slot, which is
+/// exactly what the full pass would compute for it.
 #[derive(Debug)]
 pub struct CandidateExtractor {
     roots: Vec<SpaceId>,
     /// Candidate-free slots; `Unvisited` marks a node no root reaches.
     base: ExtractionMemo,
     /// `parents[parent_start[v]..parent_start[v + 1]]` are the reachable
-    /// nodes that have `v` as a child.
+    /// nodes that have `v` as a child, its union parents first.
     parent_start: Vec<u32>,
     parents: Vec<u32>,
 }
@@ -401,18 +401,21 @@ impl CandidateExtractor {
         let reachable = |v: SpaceId| base.get(v) != Slot::Unvisited;
         let mut parent_start = vec![0u32; n + 1];
         for v in (0..n).filter(|&v| reachable(v)) {
-            for_each_child(arena.node(v), |c| parent_start[c + 1] += 1);
+            arena.node(v).for_each_child(|c| parent_start[c + 1] += 1);
         }
         for i in 0..n {
             parent_start[i + 1] += parent_start[i];
         }
         let mut fill = parent_start.clone();
         let mut parents = vec![0; parent_start[n] as usize];
-        for v in (0..n).filter(|&v| reachable(v)) {
-            for_each_child(arena.node(v), |c| {
-                parents[fill[c] as usize] = narrow(v);
-                fill[c] += 1;
-            });
+        let is_union = |v: SpaceId| matches!(arena.node(v), SpaceNode::Union(_));
+        for unions in [true, false] {
+            for v in (0..n).filter(|&v| reachable(v) && is_union(v) == unions) {
+                arena.node(v).for_each_child(|c| {
+                    parents[fill[c] as usize] = narrow(v);
+                    fill[c] += 1;
+                });
+            }
         }
         CandidateExtractor {
             roots: roots.to_vec(),
@@ -426,12 +429,28 @@ impl CandidateExtractor {
         self.base.get(v) != Slot::Unvisited
     }
 
+    /// The nodes reachable from the roots, ascending.
+    pub(crate) fn nodes(&self) -> Vec<SpaceId> {
+        (0..self.base.slots.len())
+            .filter(|&v| self.reachable(v))
+            .collect()
+    }
+
     fn parents_of(&self, v: SpaceId) -> impl Iterator<Item = SpaceId> + '_ {
         let range = match self.parent_start.get(v + 1) {
             Some(&end) => self.parent_start[v] as usize..end as usize,
             None => 0..0,
         };
         self.parents[range].iter().map(|&p| p as SpaceId)
+    }
+
+    fn union_parents_of<'a>(
+        &'a self,
+        arena: &'a SpaceArena,
+        v: SpaceId,
+    ) -> impl Iterator<Item = SpaceId> + 'a {
+        self.parents_of(v)
+            .take_while(|&u| matches!(arena.node(u), SpaceNode::Union(_)))
     }
 
     /// The minimal inhabitant of each root, in order, when `invention`
@@ -444,25 +463,36 @@ impl CandidateExtractor {
         invention: &Arc<Invented>,
     ) -> Vec<Option<Extraction>> {
         let containing = self.containing(arena, &invention.body);
-        let universe = arena.lookup(&SpaceNode::Universe);
-        // Ancestors-or-self of the nodes the invention may replace: the
-        // only nodes whose slot can differ from the candidate-free one.
-        let mut affected: HashSet<SpaceId> = HashSet::new();
-        let mut stack: Vec<SpaceId> = containing
-            .iter()
-            .copied()
-            .filter(|&v| Some(v) != universe)
-            .collect();
-        while let Some(v) = stack.pop() {
-            if affected.insert(v) {
-                stack.extend(self.parents_of(v));
+        // The slots that differ from the candidate-free ones, pushed in
+        // ascending id order, so a binary search finds them.
+        let mut overlay: Vec<(SpaceId, Slot)> = Vec::new();
+        let slot = |overlay: &[(SpaceId, Slot)], v: SpaceId| match overlay
+            .binary_search_by_key(&v, |&(u, _)| u)
+        {
+            Ok(i) => overlay[i].1,
+            Err(_) => self.base.get(v),
+        };
+        // Children have lower ids than their parents, so popping the
+        // lowest id settles every changed child before its parents.
+        let mut queue: BTreeSet<SpaceId> = containing.iter().copied().collect();
+        let mut settled = 0;
+        while let Some(v) = queue.pop_first() {
+            settled += 1;
+            let invention_cost = containing.binary_search(&v).is_ok().then_some(1);
+            let new = arena.settle(v, invention_cost, |c| slot(&overlay, c));
+            let old = self.base.get(v);
+            // Parents read only the cost. The invention can take a leaf on
+            // a cost tie: the cost holds but the choice changes, so the
+            // slot is still stored for the rebuild.
+            if cost(new) != cost(old) {
+                queue.extend(self.parents_of(v));
+            }
+            if new != old {
+                overlay.push((v, new));
             }
         }
-        let mut overlay: HashMap<SpaceId, Slot> = HashMap::with_capacity(affected.len());
-        for &root in &self.roots {
-            self.resettle(arena, root, &containing, universe, &affected, &mut overlay);
-        }
-        let slot = |v: SpaceId| overlay.get(&v).copied().unwrap_or_else(|| self.base.get(v));
+        NODES_RECOSTED.add(settled);
+        let slot = |v: SpaceId| slot(&overlay, v);
         self.roots
             .iter()
             .map(|&root| match slot(root) {
@@ -475,84 +505,56 @@ impl CandidateExtractor {
             .collect()
     }
 
-    /// Re-cost `v` under the candidate if it is affected, children first.
-    fn resettle(
-        &self,
-        arena: &SpaceArena,
-        v: SpaceId,
-        containing: &HashSet<SpaceId>,
-        universe: Option<SpaceId>,
-        affected: &HashSet<SpaceId>,
-        overlay: &mut HashMap<SpaceId, Slot>,
-    ) {
-        if !affected.contains(&v) || overlay.contains_key(&v) {
-            return;
-        }
-        for_each_child(arena.node(v), |c| {
-            self.resettle(arena, c, containing, universe, affected, overlay);
-        });
-        let invention_cost = (containing.contains(&v) && Some(v) != universe).then_some(1);
-        let slot = arena.settle(v, invention_cost, |c| {
-            overlay.get(&c).copied().unwrap_or_else(|| self.base.get(c))
-        });
-        overlay.insert(v, slot);
-    }
-
-    /// The reachable nodes whose extension contains `body`, built up over
-    /// `body`'s subterms in post-order by the rules [`Matcher`] checks top
-    /// down: `Λ` contains everything, a terminal its own expression, an
-    /// index itself, `λ b` the abstractions of what `b` contains, `(f x)`
-    /// the applications of what `f` and `x` contain, and a union what any
-    /// member contains.
-    fn containing(&self, arena: &SpaceArena, body: &Expr) -> HashSet<SpaceId> {
+    /// The reachable nodes other than `Λ` whose extension contains `body`,
+    /// ascending. Built up over `body`'s subterms in post-order by the
+    /// rules [`Matcher`] checks top down: `Λ` contains everything, a
+    /// terminal its own leaf, an index itself, `λ b` the abstractions of
+    /// what `b` contains, `(f x)` the applications of what `f` and `x`
+    /// contain, and a union what any member contains. Hash-consing makes
+    /// `λ b`, `(f x)` and each leaf at most one node, found by lookup;
+    /// unions, which never nest, are found through the union parents.
+    fn containing(&self, arena: &SpaceArena, body: &Expr) -> Vec<SpaceId> {
         let mut pats = Vec::new();
         let mut exprs = Vec::new();
         number_subterms(body, &mut pats, &mut exprs);
-        let mut sets: Vec<HashSet<SpaceId>> = Vec::with_capacity(pats.len());
+        let found = |node: SpaceNode| arena.lookup(&node).filter(|&v| self.reachable(v));
+        let universe = found(SpaceNode::Universe);
+        let mut sets: Vec<Vec<SpaceId>> = Vec::with_capacity(pats.len());
         for (pat, expr) in pats.iter().zip(&exprs) {
-            let mut set: HashSet<SpaceId> =
-                [SpaceNode::Universe, SpaceNode::Terminal(expr.clone())]
-                    .iter()
-                    .filter_map(|node| arena.lookup(node))
-                    .filter(|&v| self.reachable(v))
-                    .collect();
+            let mut set: Vec<SpaceId> = universe.into_iter().collect();
             match *pat {
-                Pat::Index(i) => {
-                    set.extend(
-                        arena
-                            .lookup(&SpaceNode::Index(i))
-                            .filter(|&v| self.reachable(v)),
-                    );
-                }
-                Pat::Leaf => {}
+                Pat::Index(i) => set.extend(found(SpaceNode::Index(i))),
+                Pat::Leaf => set.extend(found(SpaceNode::Terminal(expr.clone()))),
                 Pat::Abstraction(pb) => {
-                    for &b in &sets[pb as usize] {
-                        set.extend(
-                            self.parents_of(b)
-                                .filter(|&a| *arena.node(a) == SpaceNode::Abstraction(b)),
-                        );
-                    }
+                    set.extend(
+                        sets[pb as usize]
+                            .iter()
+                            .filter_map(|&b| found(SpaceNode::Abstraction(b))),
+                    );
                 }
                 Pat::Application(pf, px) => {
                     let (fs, xs) = (&sets[pf as usize], &sets[px as usize]);
                     for &f in fs {
-                        set.extend(self.parents_of(f).filter(|&a| {
-                            matches!(arena.node(a), SpaceNode::Application(g, x) if *g == f && xs.contains(x))
-                        }));
+                        set.extend(
+                            xs.iter()
+                                .filter_map(|&x| found(SpaceNode::Application(f, x))),
+                        );
                     }
                 }
             }
-            let mut stack: Vec<SpaceId> = set.iter().copied().collect();
-            while let Some(v) = stack.pop() {
-                for u in self.parents_of(v) {
-                    if matches!(arena.node(u), SpaceNode::Union(_)) && set.insert(u) {
-                        stack.push(u);
-                    }
-                }
+            // Every node found so far is distinct; only a union with
+            // several containing members is found twice.
+            let direct = set.len();
+            for i in 0..direct {
+                set.extend(self.union_parents_of(arena, set[i]));
             }
+            set.sort_unstable();
+            set.dedup();
             sets.push(set);
         }
-        sets.pop().unwrap_or_default()
+        let mut set = sets.pop().unwrap_or_default();
+        set.retain(|&v| Some(v) != universe);
+        set
     }
 }
 
@@ -654,9 +656,44 @@ mod tests {
     }
 
     #[test]
+    fn candidate_extractor_matches_the_full_pass_around_the_universe() {
+        // λΛ and (Λ Λ) contain every abstraction and every application,
+        // so a candidate makes them extractable; the leaf 1 costs 1, so a
+        // candidate with body 1 takes it on a tie and changes no cost.
+        let mut a = SpaceArena::new();
+        let one = a.incorporate(&parse("1"));
+        let plus_one = a.incorporate(&parse("(+ 1)"));
+        let u = a.universe();
+        let lam_u = a.abstraction(u);
+        let app_uu = a.application(u, u);
+        let lam_one = a.abstraction(one);
+        let f = a.union([lam_u, lam_one]);
+        let x = a.union([one, app_uu]);
+        let roots = [a.application(f, x), a.application(plus_one, x)];
+        let extractor = CandidateExtractor::new(&a, &roots);
+        for body in ["1", "(lambda 1)", "(+ 1)", "(+ 1 1)", "(lambda (+ $0 1))"] {
+            let inv = Invented::new(&format!("#{body}"), parse(body)).unwrap();
+            let mut matcher = Matcher::new(Arc::clone(&inv));
+            let mut memo = ExtractionMemo::new();
+            let full: Vec<_> = roots
+                .iter()
+                .map(|&r| a.minimal_inhabitant(r, Some(&mut matcher), &mut memo))
+                .collect();
+            assert_eq!(extractor.extract(&a, &inv), full, "candidate {body}");
+        }
+        let inv = Invented::new("#one", parse("1")).unwrap();
+        let tie: Vec<String> = extractor
+            .extract(&a, &inv)
+            .into_iter()
+            .map(|ex| ex.unwrap().expr.to_string())
+            .collect();
+        assert_eq!(tie, ["((lambda #one) #one)", "(+ #one #one)"]);
+    }
+
+    #[test]
     fn terminal_nodes_match_whole_subterm_patterns() {
-        // A Terminal space node holding a compound expression must match
-        // the corresponding compound pattern subterm wholesale.
+        // Terminal nodes hold only leaves, so a compound pattern subterm
+        // is matched against the incorporated structure, node by node.
         let mut a = SpaceArena::new();
         let e = parse("(+ 1 1)");
         let v = a.incorporate(&e);

@@ -33,6 +33,23 @@ pub enum SpaceNode {
     Union(Vec<SpaceId>),
 }
 
+impl SpaceNode {
+    /// Call `f` on each child of this node, once per distinct child.
+    pub(crate) fn for_each_child(&self, mut f: impl FnMut(SpaceId)) {
+        match self {
+            SpaceNode::Abstraction(b) => f(*b),
+            SpaceNode::Application(a, b) => {
+                f(*a);
+                if b != a {
+                    f(*b);
+                }
+            }
+            SpaceNode::Union(ms) => ms.iter().copied().for_each(f),
+            _ => {}
+        }
+    }
+}
+
 /// Arena holding hash-consed version spaces and the memo tables for the
 /// inversion operators.
 #[derive(Debug, Default)]
@@ -120,12 +137,6 @@ impl SpaceArena {
         self.intern(SpaceNode::Index(i))
     }
 
-    /// A terminal (primitive or invented) space.
-    pub fn terminal(&mut self, e: Expr) -> SpaceId {
-        debug_assert!(matches!(e, Expr::Primitive(_) | Expr::Invented(_)));
-        self.intern(SpaceNode::Terminal(e))
-    }
-
     /// `λ body` — collapses to `∅` when `body = ∅`.
     pub fn abstraction(&mut self, body: SpaceId) -> SpaceId {
         if self.nodes[body] == SpaceNode::Void {
@@ -178,7 +189,9 @@ impl SpaceArena {
     pub fn incorporate(&mut self, e: &Expr) -> SpaceId {
         match e {
             Expr::Index(i) => self.index(*i),
-            Expr::Primitive(_) | Expr::Invented(_) => self.terminal(e.clone()),
+            // The only place a `Terminal` is made, so it always holds a
+            // leaf: containment looks terminals up for leaf subterms only.
+            Expr::Primitive(_) | Expr::Invented(_) => self.intern(SpaceNode::Terminal(e.clone())),
             Expr::Abstraction(b) => {
                 let body = self.incorporate(b);
                 self.abstraction(body)
@@ -329,45 +342,79 @@ impl SpaceArena {
     /// Sample up to `limit` members of the extension (DFS order). Members
     /// of `Λ` are not enumerable and contribute nothing.
     pub fn extension_sample(&self, v: SpaceId, limit: usize) -> Vec<Expr> {
+        if limit == 0 {
+            return Vec::new();
+        }
+        let mut nodes = self.reachable(v);
+        nodes.sort_unstable();
         let mut out = Vec::new();
-        self.sample_rec(v, limit, &mut out);
+        self.sample_each(&nodes, limit, |u, sample| {
+            if u == v {
+                out = sample.to_vec();
+            }
+        });
         out
     }
 
-    fn sample_rec(&self, v: SpaceId, limit: usize, out: &mut Vec<Expr>) {
-        if out.len() >= limit {
-            return;
+    /// Call `visit` with the sample of up to `limit` (≥ 1) members of each
+    /// node of `nodes`, which must be ascending and closed under children.
+    ///
+    /// A node's sample depends only on the node, and the first `k` members
+    /// of a node's sample at `limit` are its sample at `k`, so each node
+    /// is sampled once, from its children's samples. Ids ascend from
+    /// children to parents (hash-consing interns children first), so one
+    /// sweep in id order has every child's sample ready, and a sample is
+    /// dropped as soon as the last of its parents in `nodes` has read it.
+    pub(crate) fn sample_each(
+        &self,
+        nodes: &[SpaceId],
+        limit: usize,
+        mut visit: impl FnMut(SpaceId, &[Expr]),
+    ) {
+        debug_assert!(limit >= 1 && nodes.is_sorted());
+        let mut readers = vec![0u32; nodes.last().map_or(0, |&v| v + 1)];
+        for &v in nodes {
+            self.nodes[v].for_each_child(|c| readers[c] += 1);
         }
-        match &self.nodes[v] {
-            SpaceNode::Void | SpaceNode::Universe => {}
-            SpaceNode::Index(i) => out.push(Expr::Index(*i)),
-            SpaceNode::Terminal(e) => out.push(e.clone()),
-            SpaceNode::Abstraction(b) => {
-                let mut bodies = Vec::new();
-                self.sample_rec(*b, limit - out.len(), &mut bodies);
-                out.extend(bodies.into_iter().map(Expr::abstraction));
-            }
-            SpaceNode::Application(f, x) => {
-                let mut fs = Vec::new();
-                self.sample_rec(*f, limit, &mut fs);
-                let mut xs = Vec::new();
-                self.sample_rec(*x, limit, &mut xs);
-                'outer: for fe in &fs {
-                    for xe in &xs {
-                        if out.len() >= limit {
-                            break 'outer;
-                        }
-                        out.push(Expr::application(fe.clone(), xe.clone()));
+        // The samples some parent has yet to read.
+        let mut live: HashMap<SpaceId, Vec<Expr>> = HashMap::new();
+        for &v in nodes {
+            let sample = {
+                let of = |c: SpaceId| live[&c].as_slice();
+                match &self.nodes[v] {
+                    SpaceNode::Void | SpaceNode::Universe => Vec::new(),
+                    SpaceNode::Index(i) => vec![Expr::Index(*i)],
+                    SpaceNode::Terminal(e) => vec![e.clone()],
+                    SpaceNode::Abstraction(b) => {
+                        of(*b).iter().cloned().map(Expr::abstraction).collect()
                     }
-                }
-            }
-            SpaceNode::Union(ms) => {
-                for &m in ms {
-                    if out.len() >= limit {
-                        break;
+                    SpaceNode::Application(f, x) => {
+                        let xs = of(*x);
+                        of(*f)
+                            .iter()
+                            .flat_map(|fe| {
+                                xs.iter()
+                                    .map(|xe| Expr::application(fe.clone(), xe.clone()))
+                            })
+                            .take(limit)
+                            .collect()
                     }
-                    self.sample_rec(m, limit, out);
+                    SpaceNode::Union(ms) => ms
+                        .iter()
+                        .flat_map(|&m| of(m).iter().cloned())
+                        .take(limit)
+                        .collect(),
                 }
+            };
+            visit(v, &sample);
+            self.nodes[v].for_each_child(|c| {
+                readers[c] -= 1;
+                if readers[c] == 0 {
+                    live.remove(&c);
+                }
+            });
+            if readers[v] > 0 {
+                live.insert(v, sample);
             }
         }
     }
@@ -383,15 +430,7 @@ impl SpaceArena {
             }
             seen[id] = true;
             out.push(id);
-            match &self.nodes[id] {
-                SpaceNode::Abstraction(b) => stack.push(*b),
-                SpaceNode::Application(f, x) => {
-                    stack.push(*f);
-                    stack.push(*x);
-                }
-                SpaceNode::Union(ms) => stack.extend(ms.iter().copied()),
-                _ => {}
-            }
+            self.nodes[id].for_each_child(|c| stack.push(c));
         }
         out
     }

@@ -1,14 +1,21 @@
 //! Algebraic laws of the version-space operations (Definition 3.1/3.2):
 //! union and intersection behave as set union/intersection on extensions,
-//! downshift agrees with expression-level shifting, and substitution
-//! inversion respects the β-reduction semantics.
+//! downshift agrees with expression-level shifting, substitution
+//! inversion respects the β-reduction semantics, and the memoized
+//! extension sampler returns what the direct recursive one returns.
 
 use dc_lambda::expr::Expr;
 use dc_lambda::primitives::base_primitives;
-use dc_vspace::SpaceArena;
+use dc_vspace::{SpaceArena, SpaceId, SpaceNode};
 use proptest::prelude::*;
 
 fn int_expr() -> impl Strategy<Value = Expr> {
+    int_expr_up_to(3, 10)
+}
+
+/// Arithmetic over 0 and 1, nested at most `depth` deep, with about
+/// `size` nodes at most.
+fn int_expr_up_to(depth: u32, size: u32) -> impl Strategy<Value = Expr> {
     let prims = base_primitives();
     let leaf = prop_oneof![
         Just(Expr::parse("0", &prims).unwrap()),
@@ -16,7 +23,7 @@ fn int_expr() -> impl Strategy<Value = Expr> {
     ];
     let plus = Expr::parse("+", &prims).unwrap();
     let times = Expr::parse("*", &prims).unwrap();
-    leaf.prop_recursive(3, 10, 2, move |inner| {
+    leaf.prop_recursive(depth, size, 2, move |inner| {
         (
             prop_oneof![Just(plus.clone()), Just(times.clone())],
             inner.clone(),
@@ -24,6 +31,46 @@ fn int_expr() -> impl Strategy<Value = Expr> {
         )
             .prop_map(|(op, a, b)| Expr::apply_all(op, [a, b]))
     })
+}
+
+/// The direct sampler `extension_sample` replaced: up to `limit`
+/// members of `⟦v⟧` in DFS order, re-sampling every subtree it visits.
+fn reference_sample(arena: &SpaceArena, v: SpaceId, limit: usize, out: &mut Vec<Expr>) {
+    if out.len() >= limit {
+        return;
+    }
+    match arena.node(v) {
+        SpaceNode::Void | SpaceNode::Universe => {}
+        SpaceNode::Index(i) => out.push(Expr::Index(*i)),
+        SpaceNode::Terminal(e) => out.push(e.clone()),
+        SpaceNode::Abstraction(b) => {
+            let mut bodies = Vec::new();
+            reference_sample(arena, *b, limit - out.len(), &mut bodies);
+            out.extend(bodies.into_iter().map(Expr::abstraction));
+        }
+        SpaceNode::Application(f, x) => {
+            let mut fs = Vec::new();
+            reference_sample(arena, *f, limit, &mut fs);
+            let mut xs = Vec::new();
+            reference_sample(arena, *x, limit, &mut xs);
+            'outer: for fe in &fs {
+                for xe in &xs {
+                    if out.len() >= limit {
+                        break 'outer;
+                    }
+                    out.push(Expr::application(fe.clone(), xe.clone()));
+                }
+            }
+        }
+        SpaceNode::Union(ms) => {
+            for &m in ms {
+                if out.len() >= limit {
+                    break;
+                }
+                reference_sample(arena, m, limit, out);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -116,6 +163,30 @@ proptest! {
                         e
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Sampling each node once from its children's samples gives every
+    /// node of a refactoring space the sample the direct recursion gives,
+    /// at every limit. The expressions are kept small because every node
+    /// of the space is sampled on its own.
+    #[test]
+    fn memoized_sampling_matches_the_direct_recursion(
+        e in int_expr_up_to(2, 6),
+        steps in 1usize..=2,
+    ) {
+        let mut arena = SpaceArena::new();
+        let space = arena.refactor(&e, steps);
+        for v in arena.reachable(space) {
+            for limit in 1..=8 {
+                let mut want = Vec::new();
+                reference_sample(&arena, v, limit, &mut want);
+                prop_assert_eq!(arena.extension_sample(v, limit), want, "node {} limit {}", v, limit);
             }
         }
     }

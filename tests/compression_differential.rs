@@ -233,32 +233,37 @@ fn text_one_call_matches_chained_calls_over_several_inventions() {
 }
 
 /// One frontier's refactoring spaces, built as abstraction sleep builds
-/// them: every program into one arena, two inverse-β steps.
+/// them: every program into one arena, `steps` inverse-β steps.
 struct Spaces {
     arena: SpaceArena,
     roots: Vec<SpaceId>,
 }
 
-fn spaces(frontier: &Frontier) -> Spaces {
+fn spaces(frontier: &Frontier, steps: usize) -> Spaces {
     let mut arena = SpaceArena::new();
     let roots = frontier
         .entries
         .iter()
-        .map(|e| arena.refactor(&e.expr, 2))
+        .map(|e| arena.refactor(&e.expr, steps))
         .collect();
     Spaces { arena, roots }
 }
 
 /// For each first-iteration candidate and each frontier, the extractor's
-/// result equals the full pass with a `Matcher`, root by root.
-fn check_extraction(domain: &dyn Domain, ground_truth: Vec<(&str, String)>) {
+/// result equals the full pass with a `Matcher`, root by root, with
+/// spaces and candidates built at `steps` inverse-β steps.
+fn check_extraction(domain: &dyn Domain, ground_truth: Vec<(&str, String)>, steps: usize) {
     let (initial, frontiers) = corpus(domain, ground_truth);
-    let all: Vec<Spaces> = frontiers.iter().map(spaces).collect();
+    let all: Vec<Spaces> = frontiers.iter().map(|f| spaces(f, steps)).collect();
     let extractors: Vec<CandidateExtractor> = all
         .iter()
         .map(|s| CandidateExtractor::new(&s.arena, &s.roots))
         .collect();
-    let candidates = first_proposals(&initial, &frontiers, &config(BENCHMARK_PENALTY, 1));
+    let config = CompressionConfig {
+        refactor_steps: steps,
+        ..config(BENCHMARK_PENALTY, 1)
+    };
+    let candidates = first_proposals(&initial, &frontiers, &config);
     assert!(!candidates.is_empty());
     let mut rewrites = 0;
     for body in candidates {
@@ -292,7 +297,11 @@ fn check_extraction(domain: &dyn Domain, ground_truth: Vec<(&str, String)>) {
     ignore = "40 s in a debug build; CI runs it in release"
 )]
 fn tower_candidate_extraction_matches_the_matcher() {
-    check_extraction(&tower::TowerDomain::new(0), tower::ground_truth_programs());
+    check_extraction(
+        &tower::TowerDomain::new(0),
+        tower::ground_truth_programs(),
+        2,
+    );
 }
 
 #[test]
@@ -301,15 +310,28 @@ fn tower_candidate_extraction_matches_the_matcher() {
     ignore = "40 s in a debug build; CI runs it in release"
 )]
 fn logo_candidate_extraction_matches_the_matcher() {
-    check_extraction(&logo::LogoDomain::new(0), logo::ground_truth_programs());
+    check_extraction(&logo::LogoDomain::new(0), logo::ground_truth_programs(), 2);
 }
 
 #[test]
 fn list_candidate_extraction_matches_the_matcher() {
-    check_extraction(&list::ListDomain::new(0), list::ground_truth_programs());
+    check_extraction(&list::ListDomain::new(0), list::ground_truth_programs(), 2);
 }
 
 #[test]
 fn text_candidate_extraction_matches_the_matcher() {
-    check_extraction(&text::TextDomain::new(0), text::ground_truth_programs());
+    check_extraction(&text::TextDomain::new(0), text::ground_truth_programs(), 2);
+}
+
+// Three inverse-β steps, abstraction sleep's default and `cycle_list`'s
+// setting: the deepest spaces the extractor scores candidates on.
+
+#[test]
+fn list_candidate_extraction_matches_the_matcher_at_three_steps() {
+    check_extraction(&list::ListDomain::new(0), list::ground_truth_programs(), 3);
+}
+
+#[test]
+fn text_candidate_extraction_matches_the_matcher_at_three_steps() {
+    check_extraction(&text::TextDomain::new(0), text::ground_truth_programs(), 3);
 }

@@ -13,7 +13,8 @@ fn tiny_run_produces_well_formed_telemetry_json() {
     let config = DreamCoderConfig {
         condition: Condition::NoRecognition,
         cycles: 2,
-        minibatch: 6,
+        // Enough tasks that a sleep has candidates to score.
+        minibatch: 12,
         enumeration: EnumerationConfig {
             max_budget: 10.5,
             ..EnumerationConfig::default()
@@ -76,6 +77,11 @@ fn tiny_run_produces_well_formed_telemetry_json() {
     assert!(
         counters["compression.frontiers_reused"].as_u64().is_some(),
         "abstraction sleep must report the frontiers it reused: {raw}"
+    );
+    // Scoring a candidate re-costs at least the nodes containing its body.
+    assert!(
+        counters["compression.nodes_recosted"].as_u64().unwrap_or(0) > 0,
+        "candidate scoring must report the nodes it re-costed: {raw}"
     );
     // Per-cycle phase breakdown: every phase histogram saw both cycles.
     let histograms = &json["histograms"];

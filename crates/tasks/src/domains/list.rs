@@ -5,45 +5,50 @@
 
 use dc_lambda::eval::Value;
 use dc_lambda::expr::Expr;
-use dc_lambda::primitives::{base_primitives, PrimitiveSet};
+use dc_lambda::primitives::base_primitives;
 use dc_lambda::types::{tbool, tint, tlist, Type};
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::domain::{degenerate_outputs, run_on_inputs, Domain};
-use crate::task::{io_features, Example, Task};
+use crate::domain::{dream_io, held_out_split, Corpus, Domain};
+use crate::task::{exact_match, io_features, Example, Task};
 
 /// The list-processing domain.
 pub struct ListDomain {
-    primitives: PrimitiveSet,
-    train: Vec<Task>,
-    test: Vec<Task>,
+    corpus: Corpus,
 }
 
-fn ints(vals: &[i64]) -> Value {
+pub(crate) fn ints(vals: &[i64]) -> Value {
     Value::list(vals.iter().map(|&v| Value::Int(v)).collect())
 }
 
-fn random_list<R: Rng + ?Sized>(rng: &mut R, max_len: usize, max_val: i64) -> Vec<i64> {
-    let len = rng.gen_range(0..=max_len);
-    (0..len).map(|_| rng.gen_range(0..=max_val)).collect()
+/// A random list of up to 7 digits, padded with digits to `min_len`.
+fn random_input<R: Rng + ?Sized>(rng: &mut R, min_len: usize) -> Vec<i64> {
+    let len = rng.gen_range(0..=7usize);
+    let mut input: Vec<i64> = (0..len).map(|_| rng.gen_range(0..=9)).collect();
+    while input.len() < min_len {
+        input.push(rng.gen_range(0..=9));
+    }
+    input
 }
 
 /// Request type `list(int) -> list(int)`.
-fn ll() -> Type {
+pub(crate) fn ll() -> Type {
     Type::arrow(tlist(tint()), tlist(tint()))
 }
 /// Request type `list(int) -> int`.
-fn li() -> Type {
+pub(crate) fn li() -> Type {
     Type::arrow(tlist(tint()), tint())
 }
 /// Request type `list(int) -> bool`.
-fn lb() -> Type {
+pub(crate) fn lb() -> Type {
     Type::arrow(tlist(tint()), tbool())
 }
 
 type ListFn = dyn Fn(&[i64]) -> Option<Value> + Send + Sync;
 
-struct Template {
+/// An integer-list task family: a name, a request and the function it
+/// computes.
+pub(crate) struct Template {
     name: &'static str,
     request: Type,
     /// Compute the output for a random input list; `None` = skip input.
@@ -52,20 +57,48 @@ struct Template {
     min_len: usize,
 }
 
-fn templates() -> Vec<Template> {
-    fn t(
-        name: &'static str,
-        request: Type,
-        min_len: usize,
-        f: impl Fn(&[i64]) -> Option<Value> + Send + Sync + 'static,
-    ) -> Template {
-        Template {
-            name,
-            request,
-            f: Box::new(f),
-            min_len,
-        }
+/// Shorthand for a [`Template`].
+pub(crate) fn t(
+    name: &'static str,
+    request: Type,
+    min_len: usize,
+    f: impl Fn(&[i64]) -> Option<Value> + Send + Sync + 'static,
+) -> Template {
+    Template {
+        name,
+        request,
+        f: Box::new(f),
+        min_len,
     }
+}
+
+impl Template {
+    /// An instance with five examples on inputs drawn by `draw` (given
+    /// `min_len`); an input the template rejects is redrawn, for at most
+    /// 200 draws.
+    pub(crate) fn task<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        draw: impl Fn(&mut R, usize) -> Vec<i64>,
+    ) -> Task {
+        let mut examples = Vec::new();
+        let mut guard = 0;
+        while examples.len() < 5 && guard < 200 {
+            guard += 1;
+            let input = draw(rng, self.min_len);
+            if let Some(output) = (self.f)(&input) {
+                examples.push(Example {
+                    inputs: vec![ints(&input)],
+                    output,
+                });
+            }
+        }
+        let features = io_features(&examples);
+        Task::io(self.name, self.request.clone(), examples, features)
+    }
+}
+
+fn templates() -> Vec<Template> {
     let is_prime = |n: i64| n >= 2 && (2..n).take_while(|d| d * d <= n).all(|d| n % d != 0);
     let is_square = |n: i64| (0..=n).any(|r| r * r == n);
     vec![
@@ -234,84 +267,37 @@ fn templates() -> Vec<Template> {
     ]
 }
 
-fn build_task<R: Rng + ?Sized>(tpl: &Template, rng: &mut R, dim: usize) -> Task {
-    let mut examples = Vec::new();
-    let mut guard = 0;
-    while examples.len() < 5 && guard < 200 {
-        guard += 1;
-        let mut input = random_list(rng, 7, 9);
-        while input.len() < tpl.min_len {
-            input.push(rng.gen_range(0..=9));
-        }
-        if let Some(output) = (tpl.f)(&input) {
-            examples.push(Example {
-                inputs: vec![ints(&input)],
-                output,
-            });
-        }
-    }
-    let features = io_features(&examples, dim);
-    Task::io(tpl.name, tpl.request.clone(), examples, features)
-}
-
 impl ListDomain {
     /// Build the domain with a deterministic corpus (seeded by `seed`).
-    /// Even-indexed templates train, odd-indexed test (a 50/50 split like
-    /// the paper's).
+    /// Two instances (fresh random examples) of each train template keep
+    /// the corpus at the paper's 100-200 task scale.
     pub fn new(seed: u64) -> ListDomain {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let primitives = base_primitives();
-        let dim = 64;
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for (i, tpl) in templates().iter().enumerate() {
-            let task = build_task(tpl, &mut rng, dim);
-            if i % 2 == 0 {
-                train.push(task);
-            } else {
-                test.push(task);
-            }
-            // A second instance (fresh random examples) of each train
-            // template keeps the corpus at the paper's 100-200 task scale.
-            if i % 2 == 0 {
-                train.push(build_task(tpl, &mut rng, dim));
-            }
-        }
+        let (train, test) = held_out_split(templates(), 2, |tpl| tpl.task(&mut rng, random_input));
         ListDomain {
-            primitives,
-            train,
-            test,
+            corpus: Corpus {
+                name: "list",
+                primitives: base_primitives(),
+                train,
+                test,
+                dream_requests: vec![ll(), li(), lb()],
+            },
         }
     }
 }
 
 impl Domain for ListDomain {
-    fn name(&self) -> &str {
-        "list"
-    }
-    fn primitives(&self) -> &PrimitiveSet {
-        &self.primitives
-    }
-    fn train_tasks(&self) -> &[Task] {
-        &self.train
-    }
-    fn test_tasks(&self) -> &[Task] {
-        &self.test
-    }
-    fn dream_requests(&self) -> Vec<Type> {
-        vec![ll(), li(), lb()]
+    fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
     fn dream(&self, program: &Expr, request: &Type, rng: &mut dyn RngCore) -> Option<Task> {
-        let inputs: Vec<Vec<Value>> = (0..5)
-            .map(|_| vec![ints(&random_list(rng, 7, 9))])
-            .collect();
-        let examples = run_on_inputs(program, &inputs, 20_000)?;
-        if degenerate_outputs(&examples) {
-            return None;
-        }
-        let features = io_features(&examples, self.feature_dim());
-        let _ = request;
-        Some(Task::io("dream", request.clone(), examples, features))
+        dream_io(
+            program,
+            request,
+            rng,
+            |rng| vec![ints(&random_input(rng, 0))],
+            exact_match,
+        )
     }
 }
 
@@ -347,7 +333,7 @@ mod tests {
         assert!(d.test_tasks().len() >= 20);
         for task in d.train_tasks().iter().chain(d.test_tasks()) {
             assert_eq!(task.examples.len(), 5, "{} lacks examples", task.name);
-            assert_eq!(task.features.len(), 64);
+            assert_eq!(task.features.len(), crate::FEATURE_DIM);
         }
     }
 

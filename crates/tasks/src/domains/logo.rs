@@ -17,7 +17,7 @@ use dc_lambda::primitives::{prim_int, PrimitiveSet};
 use dc_lambda::types::{tint, Type};
 use rand::RngCore;
 
-use crate::domain::Domain;
+use crate::domain::{held_out_split, Corpus, Domain, FEATURE_DIM};
 use crate::task::{Task, TaskOracle};
 
 /// Canvas resolution (pixels per side).
@@ -103,7 +103,7 @@ pub fn rasterize(segments: &[Segment]) -> BTreeSet<(u8, u8)> {
 /// model's view of the image).
 pub fn bitmap_features(pixels: &BTreeSet<(u8, u8)>) -> Vec<f64> {
     let cell = CANVAS / 8;
-    let mut grid = vec![0.0; 64];
+    let mut grid = vec![0.0; FEATURE_DIM];
     for &(x, y) in pixels {
         let gx = (x as usize / cell).min(7);
         let gy = (y as usize / cell).min(7);
@@ -315,11 +315,20 @@ impl TaskOracle for LogoOracle {
     }
 }
 
+/// A task whose image is `target`.
+fn image_task(name: &str, request: Type, target: BTreeSet<(u8, u8)>) -> Task {
+    Task {
+        name: name.to_owned(),
+        request,
+        features: bitmap_features(&target),
+        oracle: Arc::new(LogoOracle { target }),
+        examples: Vec::new(),
+    }
+}
+
 /// The LOGO inverse-graphics domain.
 pub struct LogoDomain {
-    primitives: PrimitiveSet,
-    train: Vec<Task>,
-    test: Vec<Task>,
+    corpus: Corpus,
 }
 
 /// The ground-truth programs whose renders form the task corpus —
@@ -397,69 +406,38 @@ impl LogoDomain {
     /// task; even indices train, odd test.
     pub fn new(_seed: u64) -> LogoDomain {
         let primitives = logo_primitives();
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for (i, (name, src)) in ground_truth_programs().iter().enumerate() {
+        let (train, test) = held_out_split(ground_truth_programs(), 1, |(name, src)| {
             let program = Expr::parse(src, &primitives)
                 .unwrap_or_else(|e| panic!("bad ground-truth LOGO program {name}: {e}"));
             let state = run_logo_program(&program, 200_000)
                 .unwrap_or_else(|e| panic!("ground-truth LOGO program {name} crashed: {e}"));
             let target = rasterize(&state.segments);
-            if target.is_empty() {
-                continue;
-            }
-            let features = bitmap_features(&target);
-            let task = Task {
-                name: (*name).to_owned(),
-                request: Type::arrow(tturtle(), tturtle()),
-                oracle: Arc::new(LogoOracle { target }),
-                features,
-                examples: Vec::new(),
-            };
-            if i % 2 == 0 {
-                train.push(task);
-            } else {
-                test.push(task);
-            }
-        }
+            assert!(
+                !target.is_empty(),
+                "ground-truth LOGO program {name} draws nothing"
+            );
+            image_task(name, Type::arrow(tturtle(), tturtle()), target)
+        });
         LogoDomain {
-            primitives,
-            train,
-            test,
+            corpus: Corpus {
+                name: "logo",
+                primitives,
+                train,
+                test,
+                dream_requests: vec![Type::arrow(tturtle(), tturtle())],
+            },
         }
     }
 }
 
 impl Domain for LogoDomain {
-    fn name(&self) -> &str {
-        "logo"
-    }
-    fn primitives(&self) -> &PrimitiveSet {
-        &self.primitives
-    }
-    fn train_tasks(&self) -> &[Task] {
-        &self.train
-    }
-    fn test_tasks(&self) -> &[Task] {
-        &self.test
-    }
-    fn dream_requests(&self) -> Vec<Type> {
-        vec![Type::arrow(tturtle(), tturtle())]
+    fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
     fn dream(&self, program: &Expr, request: &Type, _rng: &mut dyn RngCore) -> Option<Task> {
         let state = run_logo_program(program, 50_000).ok()?;
         let target = rasterize(&state.segments);
-        if target.len() < 3 {
-            return None;
-        }
-        let features = bitmap_features(&target);
-        Some(Task {
-            name: "dream".to_owned(),
-            request: request.clone(),
-            oracle: Arc::new(LogoOracle { target }),
-            features,
-            examples: Vec::new(),
-        })
+        (target.len() >= 3).then(|| image_task("dream", request.clone(), target))
     }
 }
 
@@ -517,7 +495,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(!a.is_empty());
         let f = bitmap_features(&a);
-        assert_eq!(f.len(), 64);
+        assert_eq!(f.len(), FEATURE_DIM);
         assert!(f.iter().sum::<f64>() > 0.0);
     }
 

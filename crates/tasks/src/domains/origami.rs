@@ -7,55 +7,29 @@
 
 use dc_lambda::eval::Value;
 use dc_lambda::expr::Expr;
-use dc_lambda::primitives::{lisp_1959_primitives, PrimitiveSet};
-use dc_lambda::types::{tbool, tint, tlist, Type};
+use dc_lambda::primitives::lisp_1959_primitives;
+use dc_lambda::types::Type;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::domain::{degenerate_outputs, run_on_inputs, Domain};
-use crate::task::{io_features, Example, Task};
+use crate::domain::{dream_io, Corpus, Domain};
+use crate::domains::list::{ints, lb, li, ll, t, Template};
+use crate::task::{exact_match, Task};
 
 /// The origami domain.
 pub struct OrigamiDomain {
-    primitives: PrimitiveSet,
-    train: Vec<Task>,
+    corpus: Corpus,
 }
 
-fn ints(vals: &[i64]) -> Value {
-    Value::list(vals.iter().map(|&v| Value::Int(v)).collect())
-}
-
-fn ll() -> Type {
-    Type::arrow(tlist(tint()), tlist(tint()))
-}
-fn li() -> Type {
-    Type::arrow(tlist(tint()), tint())
-}
-
-type ListFn = dyn Fn(&[i64]) -> Option<Value> + Send + Sync;
-
-struct Template {
-    name: &'static str,
-    request: Type,
-    f: Box<ListFn>,
-    min_len: usize,
+/// A random list of `min_len` to 6 (at least `min_len`) elements in
+/// `0..=6`.
+fn random_input<R: Rng + ?Sized>(rng: &mut R, min_len: usize) -> Vec<i64> {
+    let len = rng.gen_range(min_len..=6.max(min_len));
+    (0..len).map(|_| rng.gen_range(0..=6)).collect()
 }
 
 /// The 20 introductory tasks ("like those used in introductory computer
 /// science classes").
 fn templates() -> Vec<Template> {
-    fn t(
-        name: &'static str,
-        request: Type,
-        min_len: usize,
-        f: impl Fn(&[i64]) -> Option<Value> + Send + Sync + 'static,
-    ) -> Template {
-        Template {
-            name,
-            request,
-            f: Box::new(f),
-            min_len,
-        }
-    }
     vec![
         t("length", li(), 0, |l| Some(Value::Int(l.len() as i64))),
         t("sum", li(), 0, |l| Some(Value::Int(l.iter().sum()))),
@@ -101,7 +75,7 @@ fn templates() -> Vec<Template> {
         t("count positives", li(), 0, |l| {
             Some(Value::Int(l.iter().filter(|&&x| x > 0).count() as i64))
         }),
-        t("member zero", Type::arrow(tlist(tint()), tbool()), 0, |l| {
+        t("member zero", lb(), 0, |l| {
             Some(Value::Bool(l.contains(&0)))
         }),
         t("take while positive", ll(), 0, |l| {
@@ -136,60 +110,34 @@ impl OrigamiDomain {
     /// solving all 20 training problems).
     pub fn new(seed: u64) -> OrigamiDomain {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let primitives = lisp_1959_primitives();
-        let mut train = Vec::new();
-        for tpl in templates() {
-            let mut examples = Vec::new();
-            let mut guard = 0;
-            while examples.len() < 5 && guard < 200 {
-                guard += 1;
-                let len = rng.gen_range(tpl.min_len..=6.max(tpl.min_len));
-                let input: Vec<i64> = (0..len).map(|_| rng.gen_range(0..=6)).collect();
-                if let Some(output) = (tpl.f)(&input) {
-                    examples.push(Example {
-                        inputs: vec![ints(&input)],
-                        output,
-                    });
-                }
-            }
-            let features = io_features(&examples, 64);
-            train.push(Task::io(tpl.name, tpl.request.clone(), examples, features));
+        let train = templates()
+            .iter()
+            .map(|tpl| tpl.task(&mut rng, random_input))
+            .collect();
+        OrigamiDomain {
+            corpus: Corpus {
+                name: "origami",
+                primitives: lisp_1959_primitives(),
+                train,
+                test: Vec::new(),
+                dream_requests: vec![ll(), li()],
+            },
         }
-        OrigamiDomain { primitives, train }
     }
 }
 
 impl Domain for OrigamiDomain {
-    fn name(&self) -> &str {
-        "origami"
-    }
-    fn primitives(&self) -> &PrimitiveSet {
-        &self.primitives
-    }
-    fn train_tasks(&self) -> &[Task] {
-        &self.train
-    }
-    fn test_tasks(&self) -> &[Task] {
-        &[]
-    }
-    fn dream_requests(&self) -> Vec<Type> {
-        vec![ll(), li()]
+    fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
     fn dream(&self, program: &Expr, request: &Type, rng: &mut dyn RngCore) -> Option<Task> {
-        let inputs: Vec<Vec<Value>> = (0..5)
-            .map(|_| {
-                let len = rng.gen_range(0..=6);
-                vec![ints(
-                    &(0..len).map(|_| rng.gen_range(0..=6)).collect::<Vec<_>>(),
-                )]
-            })
-            .collect();
-        let examples = run_on_inputs(program, &inputs, 20_000)?;
-        if degenerate_outputs(&examples) {
-            return None;
-        }
-        let features = io_features(&examples, 64);
-        Some(Task::io("dream", request.clone(), examples, features))
+        dream_io(
+            program,
+            request,
+            rng,
+            |rng| vec![ints(&random_input(rng, 0))],
+            exact_match,
+        )
     }
 }
 

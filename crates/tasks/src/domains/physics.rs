@@ -15,9 +15,9 @@ use dc_lambda::primitives::{
 use dc_lambda::types::{tlist, treal, Type};
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::domain::Domain;
+use crate::domain::{dream_io, Corpus, Domain};
 use crate::domains::reals::{real_primitives, RealOracle};
-use crate::task::{io_features, Example, Task};
+use crate::task::{io_features, Example, Task, TaskOracle};
 
 /// Argument kinds for a law.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,6 +274,15 @@ fn output_value(out: Out, vals: Vec<f64>) -> Value {
     }
 }
 
+/// A law's oracle: every example reproduced to a relative 10⁻³.
+fn law_oracle(examples: Vec<Example>) -> Arc<dyn TaskOracle> {
+    Arc::new(RealOracle {
+        examples,
+        rel_tol: 1e-3,
+        fuel: 20_000,
+    })
+}
+
 /// Build the task for one law with `n` random numerical examples.
 pub fn law_task<R: Rng + ?Sized>(law: &Law, rng: &mut R, n: usize) -> Task {
     let mut examples = Vec::with_capacity(n);
@@ -285,16 +294,11 @@ pub fn law_task<R: Rng + ?Sized>(law: &Law, rng: &mut R, n: usize) -> Task {
             output: output_value(law.out, outputs),
         });
     }
-    let features = io_features(&examples, 64);
     Task {
         name: law.name.to_owned(),
         request: law_request(law),
-        oracle: Arc::new(RealOracle {
-            examples: examples.clone(),
-            rel_tol: 1e-3,
-            fuel: 20_000,
-        }),
-        features,
+        oracle: law_oracle(examples.clone()),
+        features: io_features(&examples),
         examples,
     }
 }
@@ -303,46 +307,35 @@ pub fn law_task<R: Rng + ?Sized>(law: &Law, rng: &mut R, n: usize) -> Task {
 /// the paper reports the fraction of all 60 laws solved (Fig 11A), so
 /// `test_tasks` is empty and evaluation reads `train_tasks`.
 pub struct PhysicsDomain {
-    primitives: PrimitiveSet,
-    train: Vec<Task>,
-    test: Vec<Task>,
+    corpus: Corpus,
 }
 
 impl PhysicsDomain {
     /// Build all 60 law tasks.
     pub fn new(seed: u64) -> PhysicsDomain {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let primitives = physics_primitives();
         let train = laws()
             .iter()
             .map(|law| law_task(law, &mut rng, 5))
             .collect();
         PhysicsDomain {
-            primitives,
-            train,
-            test: Vec::new(),
+            corpus: Corpus {
+                name: "physics",
+                primitives: physics_primitives(),
+                train,
+                test: Vec::new(),
+                dream_requests: vec![
+                    Type::arrows(vec![treal(), treal()], treal()),
+                    Type::arrows(vec![tlist(treal()), tlist(treal())], treal()),
+                ],
+            },
         }
     }
 }
 
 impl Domain for PhysicsDomain {
-    fn name(&self) -> &str {
-        "physics"
-    }
-    fn primitives(&self) -> &PrimitiveSet {
-        &self.primitives
-    }
-    fn train_tasks(&self) -> &[Task] {
-        &self.train
-    }
-    fn test_tasks(&self) -> &[Task] {
-        &self.test
-    }
-    fn dream_requests(&self) -> Vec<Type> {
-        vec![
-            Type::arrows(vec![treal(), treal()], treal()),
-            Type::arrows(vec![tlist(treal()), tlist(treal())], treal()),
-        ]
+    fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
     fn dream(&self, program: &Expr, request: &Type, rng: &mut dyn RngCore) -> Option<Task> {
         let arg_kinds: Vec<Arg> = request
@@ -356,30 +349,13 @@ impl Domain for PhysicsDomain {
                 }
             })
             .collect();
-        let inputs: Vec<Vec<Value>> = (0..5)
-            .map(|_| {
-                arg_kinds
-                    .iter()
-                    .map(|&k| input_value(&sample_input(k, rng)))
-                    .collect()
-            })
-            .collect();
-        let examples = crate::domain::run_on_inputs(program, &inputs, 20_000)?;
-        if crate::domain::degenerate_outputs(&examples) {
-            return None;
-        }
-        let features = io_features(&examples, 64);
-        Some(Task {
-            name: "dream".to_owned(),
-            request: request.clone(),
-            oracle: Arc::new(RealOracle {
-                examples: examples.clone(),
-                rel_tol: 1e-3,
-                fuel: 20_000,
-            }),
-            features,
-            examples,
-        })
+        let input = |rng: &mut dyn RngCore| {
+            arg_kinds
+                .iter()
+                .map(|&k| input_value(&sample_input(k, rng)))
+                .collect()
+        };
+        dream_io(program, request, rng, input, law_oracle)
     }
 }
 

@@ -17,7 +17,7 @@ use dc_lambda::primitives::PrimitiveSet;
 use dc_lambda::types::Type;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::domain::Domain;
+use crate::domain::{Corpus, Domain};
 use crate::task::{Example, Task, TaskOracle};
 
 /// A probabilistic regular expression.
@@ -415,9 +415,7 @@ pub fn concepts() -> Vec<(&'static str, Regex)> {
 
 /// The generative-regex domain.
 pub struct RegexDomain {
-    primitives: PrimitiveSet,
-    train: Vec<Task>,
-    test: Vec<Task>,
+    corpus: Corpus,
 }
 
 fn concept_task<R: Rng + ?Sized>(
@@ -444,7 +442,7 @@ fn concept_task<R: Rng + ?Sized>(
             output: Value::str(s),
         })
         .collect();
-    let features = crate::task::io_features(&examples, 64);
+    let features = crate::task::io_features(&examples);
     Task {
         name: name.to_owned(),
         request: tregex(),
@@ -459,10 +457,11 @@ fn concept_task<R: Rng + ?Sized>(
 
 impl RegexDomain {
     /// Build the domain: each concept yields train instances (even
-    /// concept indices) or held-out test instances (odd).
+    /// concept indices) or held-out test instances (odd). Odd concepts
+    /// draw a second instance too and drop it: `held_out_split` would
+    /// skip that draw and reshuffle every later concept's samples.
     pub fn new(seed: u64) -> RegexDomain {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let primitives = regex_primitives();
         let mut train = Vec::new();
         let mut test = Vec::new();
         for (i, (name, regex)) in concepts().iter().enumerate() {
@@ -476,37 +475,25 @@ impl RegexDomain {
             }
         }
         RegexDomain {
-            primitives,
-            train,
-            test,
+            corpus: Corpus {
+                name: "regex",
+                primitives: regex_primitives(),
+                train,
+                test,
+                dream_requests: vec![tregex()],
+            },
         }
     }
 }
 
 impl Domain for RegexDomain {
-    fn name(&self) -> &str {
-        "regex"
+    fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
-    fn primitives(&self) -> &PrimitiveSet {
-        &self.primitives
-    }
-    fn train_tasks(&self) -> &[Task] {
-        &self.train
-    }
-    fn test_tasks(&self) -> &[Task] {
-        &self.test
-    }
-    fn dream_requests(&self) -> Vec<Type> {
-        vec![tregex()]
-    }
-    fn dream(&self, program: &Expr, request: &Type, rng: &mut dyn RngCore) -> Option<Task> {
+    fn dream(&self, program: &Expr, _request: &Type, rng: &mut dyn RngCore) -> Option<Task> {
         let regex = run_regex_program(program, 20_000).ok()?;
         let task = concept_task("dream", &regex, rng, 5);
-        if task.examples.len() < 5 {
-            return None;
-        }
-        let _ = request;
-        Some(task)
+        (task.examples.len() == 5).then_some(task)
     }
 }
 

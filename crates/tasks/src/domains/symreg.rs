@@ -12,11 +12,10 @@ use std::sync::Arc;
 
 use dc_lambda::eval::{EvalCtx, Value};
 use dc_lambda::expr::Expr;
-use dc_lambda::primitives::PrimitiveSet;
 use dc_lambda::types::{treal, Type};
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::domain::Domain;
+use crate::domain::{held_out_split, Corpus, Domain, FEATURE_DIM};
 use crate::domains::reals::real_primitives;
 use crate::task::{Example, Task, TaskOracle};
 
@@ -132,9 +131,7 @@ fn templates() -> Vec<Template> {
 
 /// The symbolic-regression domain.
 pub struct SymRegDomain {
-    primitives: PrimitiveSet,
-    train: Vec<Task>,
-    test: Vec<Task>,
+    corpus: Corpus,
 }
 
 /// x-coordinates used for all tasks (zero avoided for rational functions).
@@ -145,15 +142,13 @@ fn symreg_features(points: &[(f64, f64)]) -> Vec<f64> {
     // y-values (clipped & squashed) directly, which carries the same
     // information for the recognition model at this scale.
     let mut f: Vec<f64> = points.iter().map(|(_, y)| (y / 10.0).tanh()).collect();
-    f.resize(64, 0.0);
+    f.resize(FEATURE_DIM, 0.0);
     f
 }
 
-fn build_task<R: Rng + ?Sized>(tpl: &Template, rng: &mut R) -> Task {
-    let a = rng.gen_range(-3.0..3.0f64).round().max(1.0);
-    let b = rng.gen_range(-3.0..3.0f64).round();
-    let points: Vec<(f64, f64)> = XS.iter().map(|&x| (x, (tpl.f)(a, b, x))).collect();
-    let examples: Vec<Example> = points
+/// A task over `(x, y)` data points.
+fn points_task(name: &str, request: Type, points: Vec<(f64, f64)>) -> Task {
+    let examples = points
         .iter()
         .map(|&(x, y)| Example {
             inputs: vec![Value::Real(x)],
@@ -161,55 +156,45 @@ fn build_task<R: Rng + ?Sized>(tpl: &Template, rng: &mut R) -> Task {
         })
         .collect();
     Task {
-        name: tpl.name.to_owned(),
-        request: symreg_request(),
+        name: name.to_owned(),
+        request,
+        features: symreg_features(&points),
         oracle: Arc::new(SymRegOracle {
-            points: points.clone(),
+            points,
             tolerance: 1e-3,
         }),
-        features: symreg_features(&points),
         examples,
     }
 }
 
+fn build_task<R: Rng + ?Sized>(tpl: &Template, rng: &mut R) -> Task {
+    let a = rng.gen_range(-3.0..3.0f64).round().max(1.0);
+    let b = rng.gen_range(-3.0..3.0f64).round();
+    let points = XS.iter().map(|&x| (x, (tpl.f)(a, b, x))).collect();
+    points_task(tpl.name, symreg_request(), points)
+}
+
 impl SymRegDomain {
-    /// Build the domain; even templates train, odd test.
+    /// Build the domain; even templates train (two instances each), odd
+    /// test.
     pub fn new(seed: u64) -> SymRegDomain {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let primitives = real_primitives();
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for (i, tpl) in templates().iter().enumerate() {
-            if i % 2 == 0 {
-                train.push(build_task(tpl, &mut rng));
-                train.push(build_task(tpl, &mut rng));
-            } else {
-                test.push(build_task(tpl, &mut rng));
-            }
-        }
+        let (train, test) = held_out_split(templates(), 2, |tpl| build_task(tpl, &mut rng));
         SymRegDomain {
-            primitives,
-            train,
-            test,
+            corpus: Corpus {
+                name: "symreg",
+                primitives: real_primitives(),
+                train,
+                test,
+                dream_requests: vec![symreg_request()],
+            },
         }
     }
 }
 
 impl Domain for SymRegDomain {
-    fn name(&self) -> &str {
-        "symreg"
-    }
-    fn primitives(&self) -> &PrimitiveSet {
-        &self.primitives
-    }
-    fn train_tasks(&self) -> &[Task] {
-        &self.train
-    }
-    fn test_tasks(&self) -> &[Task] {
-        &self.test
-    }
-    fn dream_requests(&self) -> Vec<Type> {
-        vec![symreg_request()]
+    fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
     fn dream(&self, program: &Expr, request: &Type, rng: &mut dyn RngCore) -> Option<Task> {
         let a = rng.gen_range(-3.0..3.0);
@@ -221,23 +206,7 @@ impl Domain for SymRegDomain {
         if points.iter().all(|(_, y)| (y - points[0].1).abs() < 1e-9) {
             return None; // constant dream: uninformative
         }
-        let examples = points
-            .iter()
-            .map(|&(x, y)| Example {
-                inputs: vec![Value::Real(x)],
-                output: Value::Real(y),
-            })
-            .collect();
-        Some(Task {
-            name: "dream".to_owned(),
-            request: request.clone(),
-            oracle: Arc::new(SymRegOracle {
-                points: points.clone(),
-                tolerance: 1e-3,
-            }),
-            features: symreg_features(&points),
-            examples,
-        })
+        Some(points_task("dream", request.clone(), points))
     }
 }
 

@@ -5,18 +5,16 @@
 
 use dc_lambda::eval::Value;
 use dc_lambda::expr::Expr;
-use dc_lambda::primitives::{text_primitives, PrimitiveSet};
+use dc_lambda::primitives::text_primitives;
 use dc_lambda::types::{tstr, Type};
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::domain::{degenerate_outputs, run_on_inputs, Domain};
-use crate::task::{io_features, Example, Task};
+use crate::domain::{dream_io, held_out_split, Corpus, Domain};
+use crate::task::{exact_match, io_features, Example, Task};
 
 /// The text-editing domain.
 pub struct TextDomain {
-    primitives: PrimitiveSet,
-    train: Vec<Task>,
-    test: Vec<Task>,
+    corpus: Corpus,
 }
 
 const FIRST_NAMES: &[&str] = &[
@@ -145,7 +143,7 @@ fn templates() -> Vec<Template> {
     ]
 }
 
-fn build_task<R: Rng + ?Sized>(tpl: &Template, rng: &mut R, dim: usize) -> Task {
+fn build_task<R: Rng + ?Sized>(tpl: &Template, rng: &mut R) -> Task {
     let mut examples = Vec::new();
     let mut guard = 0;
     while examples.len() < 5 && guard < 100 {
@@ -162,67 +160,42 @@ fn build_task<R: Rng + ?Sized>(tpl: &Template, rng: &mut R, dim: usize) -> Task 
             });
         }
     }
-    let features = io_features(&examples, dim);
+    let features = io_features(&examples);
     Task::io(tpl.name, Type::arrow(tstr(), tstr()), examples, features)
 }
 
 impl TextDomain {
-    /// Build the domain; even templates train, odd templates test.
+    /// Build the domain; even templates train (two instances each), odd
+    /// templates test.
     pub fn new(seed: u64) -> TextDomain {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let primitives = text_primitives();
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for (i, tpl) in templates().iter().enumerate() {
-            let task = build_task(tpl, &mut rng, 64);
-            if i % 2 == 0 {
-                train.push(task);
-                train.push(build_task(tpl, &mut rng, 64));
-            } else {
-                test.push(task);
-            }
-        }
+        let (train, test) = held_out_split(templates(), 2, |tpl| build_task(tpl, &mut rng));
         TextDomain {
-            primitives,
-            train,
-            test,
+            corpus: Corpus {
+                name: "text",
+                primitives: text_primitives(),
+                train,
+                test,
+                dream_requests: vec![Type::arrow(tstr(), tstr())],
+            },
         }
     }
 }
 
 impl Domain for TextDomain {
-    fn name(&self) -> &str {
-        "text"
-    }
-    fn primitives(&self) -> &PrimitiveSet {
-        &self.primitives
-    }
-    fn train_tasks(&self) -> &[Task] {
-        &self.train
-    }
-    fn test_tasks(&self) -> &[Task] {
-        &self.test
-    }
-    fn dream_requests(&self) -> Vec<Type> {
-        vec![Type::arrow(tstr(), tstr())]
+    fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
     fn dream(&self, program: &Expr, request: &Type, rng: &mut dyn RngCore) -> Option<Task> {
-        let inputs: Vec<Vec<Value>> = (0..5)
-            .map(|_| {
-                let s = match rng.gen_range(0..3u8) {
-                    0 => random_name(rng),
-                    1 => random_date(rng),
-                    _ => random_phone(rng),
-                };
-                vec![Value::str(&s)]
-            })
-            .collect();
-        let examples = run_on_inputs(program, &inputs, 20_000)?;
-        if degenerate_outputs(&examples) {
-            return None;
-        }
-        let features = io_features(&examples, self.feature_dim());
-        Some(Task::io("dream", request.clone(), examples, features))
+        let input = |rng: &mut dyn RngCore| {
+            let s = match rng.gen_range(0..3u8) {
+                0 => random_name(rng),
+                1 => random_date(rng),
+                _ => random_phone(rng),
+            };
+            vec![Value::str(&s)]
+        };
+        dream_io(program, request, rng, input, exact_match)
     }
 }
 

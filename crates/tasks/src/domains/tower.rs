@@ -14,7 +14,7 @@ use dc_lambda::primitives::{prim_int, PrimitiveSet};
 use dc_lambda::types::{tint, Type};
 use rand::RngCore;
 
-use crate::domain::Domain;
+use crate::domain::{held_out_split, Corpus, Domain, FEATURE_DIM};
 use crate::task::{Task, TaskOracle};
 
 /// A placed block: x position of its left edge, orientation, and the
@@ -227,7 +227,7 @@ impl TaskOracle for TowerOracle {
 
 /// Coarse occupancy-grid featurization of a block configuration.
 pub fn tower_features(target: &BTreeSet<Block>) -> Vec<f64> {
-    let mut grid = vec![0.0; 64];
+    let mut grid = vec![0.0; FEATURE_DIM];
     for b in target {
         for dx in 0..b.width() {
             for dy in 0..b.height() {
@@ -292,80 +292,57 @@ pub fn ground_truth_programs() -> Vec<(&'static str, String)> {
     ]
 }
 
+/// A task whose block configuration is `target`.
+fn tower_task(name: &str, request: Type, target: BTreeSet<Block>) -> Task {
+    Task {
+        name: name.to_owned(),
+        request,
+        features: tower_features(&target),
+        oracle: Arc::new(TowerOracle { target }),
+        examples: Vec::new(),
+    }
+}
+
 /// The towers domain.
 pub struct TowerDomain {
-    primitives: PrimitiveSet,
-    train: Vec<Task>,
-    test: Vec<Task>,
+    corpus: Corpus,
 }
 
 impl TowerDomain {
     /// Build the domain from ground-truth plans; even indices train.
     pub fn new(_seed: u64) -> TowerDomain {
         let primitives = tower_primitives();
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for (i, (name, src)) in ground_truth_programs().iter().enumerate() {
+        let (train, test) = held_out_split(ground_truth_programs(), 1, |(name, src)| {
             let program = Expr::parse(src, &primitives)
                 .unwrap_or_else(|e| panic!("bad ground-truth tower program {name}: {e}"));
             let state = run_tower_program(&program, 200_000)
                 .unwrap_or_else(|e| panic!("tower program {name} crashed: {e}"));
             let target = state.block_set();
-            if target.is_empty() {
-                continue;
-            }
-            let features = tower_features(&target);
-            let task = Task {
-                name: (*name).to_owned(),
-                request: Type::arrow(ttower(), ttower()),
-                oracle: Arc::new(TowerOracle { target }),
-                features,
-                examples: Vec::new(),
-            };
-            if i % 2 == 0 {
-                train.push(task);
-            } else {
-                test.push(task);
-            }
-        }
+            assert!(!target.is_empty(), "tower program {name} places no block");
+            tower_task(name, Type::arrow(ttower(), ttower()), target)
+        });
         TowerDomain {
-            primitives,
-            train,
-            test,
+            corpus: Corpus {
+                name: "tower",
+                primitives,
+                train,
+                test,
+                dream_requests: vec![Type::arrow(ttower(), ttower())],
+            },
         }
     }
 }
 
 impl Domain for TowerDomain {
-    fn name(&self) -> &str {
-        "tower"
-    }
-    fn primitives(&self) -> &PrimitiveSet {
-        &self.primitives
-    }
-    fn train_tasks(&self) -> &[Task] {
-        &self.train
-    }
-    fn test_tasks(&self) -> &[Task] {
-        &self.test
-    }
-    fn dream_requests(&self) -> Vec<Type> {
-        vec![Type::arrow(ttower(), ttower())]
+    fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
     fn dream(&self, program: &Expr, request: &Type, _rng: &mut dyn RngCore) -> Option<Task> {
         let state = run_tower_program(program, 50_000).ok()?;
         let target = state.block_set();
-        if target.is_empty() || target.len() > 100 {
-            return None;
-        }
-        let features = tower_features(&target);
-        Some(Task {
-            name: "dream".to_owned(),
-            request: request.clone(),
-            oracle: Arc::new(TowerOracle { target }),
-            features,
-            examples: Vec::new(),
-        })
+        (1..=100)
+            .contains(&target.len())
+            .then(|| tower_task("dream", request.clone(), target))
     }
 }
 

@@ -6,6 +6,18 @@
 //! interpreter, continuous-parameter fitting for symbolic regression, the
 //! 60-law physics dataset, and the 1959-Lisp origami corpus.
 //!
+//! # Adding a domain
+//!
+//! A domain is its primitives, its tasks and its simulator; the shell
+//! around them lives in [`domain`]. Build a [`Corpus`] once in the
+//! domain's constructor (name, primitives, train and test tasks, the
+//! request types to dream at; `domain::held_out_split` makes the usual
+//! even/odd split), store it, and implement [`Domain`]'s two required
+//! methods: `corpus` returns it, and `dream` turns a sampled program into
+//! a task (`domain::dream_io` does this for I/O domains). Featurize to
+//! [`FEATURE_DIM`] values, and add the constructor to [`domains::ALL`] so
+//! that the CLI and the cross-domain tests see it.
+//!
 //! # Example
 //!
 //! ```
@@ -27,5 +39,5 @@ pub mod domain;
 pub mod domains;
 pub mod task;
 
-pub use domain::Domain;
+pub use domain::{Corpus, Domain, FEATURE_DIM};
 pub use task::{io_features, Example, IoOracle, Task, TaskOracle};

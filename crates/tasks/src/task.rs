@@ -12,6 +12,8 @@ use dc_lambda::eval::{EvalCtx, Value};
 use dc_lambda::expr::Expr;
 use dc_lambda::types::Type;
 
+use crate::domain::FEATURE_DIM;
+
 /// One input/output example.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Example {
@@ -65,16 +67,21 @@ pub struct Task {
     pub examples: Vec<Example>,
 }
 
+/// The exact-match oracle over `examples`, at 50,000 fuel per example.
+pub(crate) fn exact_match(examples: Vec<Example>) -> Arc<dyn TaskOracle> {
+    Arc::new(IoOracle {
+        examples,
+        fuel: 50_000,
+    })
+}
+
 impl Task {
     /// Build an exact-match I/O task, featurized by `features`.
     pub fn io(name: &str, request: Type, examples: Vec<Example>, features: Vec<f64>) -> Task {
         Task {
             name: name.to_owned(),
             request,
-            oracle: Arc::new(IoOracle {
-                examples: examples.clone(),
-                fuel: 50_000,
-            }),
+            oracle: exact_match(examples.clone()),
             features,
             examples,
         }
@@ -96,11 +103,11 @@ impl fmt::Debug for Task {
     }
 }
 
-/// Feature hashing over example values: a fixed-dimension featurization
-/// usable by every I/O domain. Each scalar observation contributes ±1 to a
-/// hashed bucket; vectors are ℓ2-normalized at the end.
-pub fn io_features(examples: &[Example], dim: usize) -> Vec<f64> {
-    let mut out = vec![0.0; dim];
+/// Feature hashing over example values: a [`FEATURE_DIM`]-wide
+/// featurization usable by every I/O domain. Each scalar observation
+/// contributes ±1 to a hashed bucket; vectors are ℓ2-normalized at the end.
+pub fn io_features(examples: &[Example]) -> Vec<f64> {
+    let mut out = vec![0.0; FEATURE_DIM];
     let mut hasher = |tag: u64, payload: u64, weight: f64, out: &mut Vec<f64>| {
         // splitmix-style mixing
         let mut z = tag
@@ -109,7 +116,7 @@ pub fn io_features(examples: &[Example], dim: usize) -> Vec<f64> {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
-        let bucket = (z % dim as u64) as usize;
+        let bucket = (z % FEATURE_DIM as u64) as usize;
         let sign = if (z >> 32) & 1 == 0 { 1.0 } else { -1.0 };
         out[bucket] += sign * weight;
     };
@@ -222,8 +229,8 @@ mod tests {
             inputs: vec![list(&[1, 2, 3])],
             output: list(&[2, 4, 6]),
         }];
-        let f = io_features(&ex, 64);
-        assert_eq!(f.len(), 64);
+        let f = io_features(&ex);
+        assert_eq!(f.len(), FEATURE_DIM);
         let norm: f64 = f.iter().map(|v| v * v).sum();
         assert!((norm - 1.0).abs() < 1e-9);
     }
@@ -238,12 +245,12 @@ mod tests {
             inputs: vec![list(&[5])],
             output: Value::Int(5).clone(),
         }];
-        assert_ne!(io_features(&a, 64), io_features(&b, 64));
+        assert_ne!(io_features(&a), io_features(&b));
     }
 
     #[test]
     fn empty_examples_featurize_to_zeros() {
-        let f = io_features(&[], 16);
+        let f = io_features(&[]);
         assert!(f.iter().all(|v| *v == 0.0));
     }
 }

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde_json::Value;
 
@@ -170,7 +169,7 @@ impl EventSink {
         let mut map = BTreeMap::new();
         map.insert(
             "ts_ms".to_owned(),
-            Value::Number(serde_json::Number::U64(now_ms())),
+            Value::Number(serde_json::Number::U64(crate::unix_time_ms())),
         );
         map.insert("level".to_owned(), Value::String(level.as_str().to_owned()));
         map.insert("event".to_owned(), Value::String(name.to_owned()));
@@ -197,13 +196,6 @@ impl EventSink {
             let _ = writer.flush();
         }
     }
-}
-
-fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

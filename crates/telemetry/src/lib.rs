@@ -349,12 +349,17 @@ pub fn export_json() -> String {
 /// # Errors
 /// When the file cannot be written.
 pub fn export_to_file(path: &std::path::Path) -> std::io::Result<()> {
+    write_creating_parent(path, &export_json())
+}
+
+/// Write `contents` to `path`, creating its parent directory first.
+fn write_creating_parent(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, export_json())
+    std::fs::write(path, contents)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! `+Inf`, `_sum`, and `_count`.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
@@ -237,8 +237,6 @@ pub fn start_status_server(addr: &str) -> std::io::Result<StatusServer> {
                     break;
                 }
                 if let Ok(stream) = conn {
-                    // One slow client must not wedge the server forever.
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
                     let _ = serve_connection(stream);
                 }
@@ -251,17 +249,46 @@ pub fn start_status_server(addr: &str) -> std::io::Result<StatusServer> {
     })
 }
 
-fn serve_connection(stream: TcpStream) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers so well-behaved clients see a clean close.
+/// Most bytes of request line and headers read from one connection.
+const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Longest one connection may take to send its request line and headers.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Read the request head: up to the blank line that ends the headers, or
+/// to end of stream. One slow client must not wedge the server, nor an
+/// endless one grow its memory: a head longer than [`MAX_HEAD_BYTES`] or
+/// slower than [`HEAD_DEADLINE`], however it trickles in, is an error.
+fn read_head(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let mut head = Vec::new();
+    let mut chunk = [0u8; 512];
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        let n = stream.read(&mut chunk)?;
+        let from = head.len().saturating_sub(3);
+        head.extend_from_slice(&chunk[..n]);
+        let tail = &head[from..];
+        if n == 0
+            || tail.windows(2).any(|w| w == b"\n\n")
+            || tail.windows(4).any(|w| w == b"\r\n\r\n")
+        {
+            return Ok(head);
+        }
+        if head.len() > MAX_HEAD_BYTES {
+            return Err(ErrorKind::InvalidData.into());
         }
     }
+}
+
+fn serve_connection(mut stream: TcpStream) -> std::io::Result<()> {
+    let head = read_head(&mut stream)?;
+    let head = String::from_utf8_lossy(&head);
+    let request_line = head.lines().next().unwrap_or("");
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
     let (status, content_type, body) = match path {
         "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_owned()),
@@ -277,7 +304,6 @@ fn serve_connection(stream: TcpStream) -> std::io::Result<()> {
             "not found\n".to_owned(),
         ),
     };
-    let mut stream = reader.into_inner();
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -341,6 +367,48 @@ mod tests {
         let missing = get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_and_trickled_request_heads_are_dropped() {
+        let server = start_status_server("127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+
+        // A request line past the cap, with no newline: dropped at the
+        // cap, unanswered, without waiting out the deadline.
+        let start = Instant::now();
+        let mut endless = TcpStream::connect(addr).expect("connect");
+        let _ = endless.write_all(&vec![b'A'; MAX_HEAD_BYTES + 1024]);
+        let mut response = Vec::new();
+        let _ = endless.read_to_end(&mut response);
+        assert!(response.is_empty(), "over-cap head was answered");
+        assert!(
+            start.elapsed() < HEAD_DEADLINE / 2,
+            "over-cap head was read on"
+        );
+        assert_eq!(body(&get(addr, "/healthz")), "ok\n");
+
+        // One byte at a time, each within the old per-read timeout: the
+        // head deadline drops it, so the client queued behind it (accepted
+        // in connection order) is served promptly.
+        let mut slow = TcpStream::connect(addr).expect("connect");
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..16 {
+                if slow.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(250));
+            }
+        });
+        let start = Instant::now();
+        assert_eq!(body(&get(addr, "/healthz")), "ok\n");
+        assert!(
+            start.elapsed() < HEAD_DEADLINE + Duration::from_secs(1),
+            "a trickling client held the server for {:?}",
+            start.elapsed()
+        );
+        trickler.join().unwrap();
         server.shutdown();
     }
 

@@ -58,6 +58,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use crate::events::FieldValue;
+use crate::histogram::Histogram;
 use crate::is_enabled;
 
 /// One aggregation node: a distinct `(parent, name)` pair in the span tree.
@@ -66,8 +67,10 @@ struct SpanNode {
     id: u64,
     /// Span name as passed to [`span`].
     name: &'static str,
-    /// Parent node id (0 for top-level spans).
-    parent: u64,
+    /// Parent node (`None` for top-level spans).
+    parent: Option<&'static SpanNode>,
+    /// The same-named histogram, which every call also feeds.
+    histogram: &'static Histogram,
     calls: AtomicU64,
     total_ns: AtomicU64,
     child_ns: AtomicU64,
@@ -75,10 +78,19 @@ struct SpanNode {
 }
 
 impl SpanNode {
+    fn parent_id(&self) -> u64 {
+        self.parent.map_or(0, |p| p.id)
+    }
+
     fn record(&self, ns: u64) {
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        if let Some(parent) = self.parent {
+            parent.child_ns.fetch_add(ns, Ordering::Relaxed);
+        }
+        // Spans double as timers: the same-named histogram gets the sample.
+        self.histogram.record_ns(ns);
     }
 }
 
@@ -108,15 +120,20 @@ fn intern(parent: u64, name: &'static str) -> &'static SpanNode {
     {
         return node;
     }
+    let histogram = crate::histogram(name);
     let mut reg = registry().write().unwrap_or_else(PoisonError::into_inner);
     if let Some(node) = reg.by_key.get(&(parent, name)) {
         return node;
     }
     let id = reg.nodes.len() as u64 + 1;
+    let parent_node = (parent as usize)
+        .checked_sub(1)
+        .and_then(|i| reg.nodes.get(i).copied());
     let node: &'static SpanNode = Box::leak(Box::new(SpanNode {
         id,
         name,
-        parent,
+        parent: parent_node,
+        histogram,
         calls: AtomicU64::new(0),
         total_ns: AtomicU64::new(0),
         child_ns: AtomicU64::new(0),
@@ -125,18 +142,6 @@ fn intern(parent: u64, name: &'static str) -> &'static SpanNode {
     reg.by_key.insert((parent, name), node);
     reg.nodes.push(node);
     node
-}
-
-fn node_by_id(id: u64) -> Option<&'static SpanNode> {
-    if id == 0 {
-        return None;
-    }
-    registry()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .nodes
-        .get(id as usize - 1)
-        .copied()
 }
 
 thread_local! {
@@ -202,17 +207,12 @@ impl Drop for SpanGuard {
         };
         let ns = active.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         active.node.record(ns);
-        if let Some(parent) = node_by_id(active.node.parent) {
-            parent.child_ns.fetch_add(ns, Ordering::Relaxed);
-        }
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if let Some(pos) = stack.iter().rposition(|(t, _)| *t == active.token) {
                 stack.remove(pos);
             }
         });
-        // Spans double as timers: same-named histogram gets the sample.
-        crate::histogram(active.node.name).record_ns(ns);
         record_trace_event(active.node.name, &active, ns);
     }
 }
@@ -328,7 +328,7 @@ pub fn span_tree() -> Vec<SpanSnapshot> {
     let reg = registry().read().unwrap_or_else(PoisonError::into_inner);
     let mut children_of: BTreeMap<u64, Vec<&'static SpanNode>> = BTreeMap::new();
     for node in &reg.nodes {
-        children_of.entry(node.parent).or_default().push(node);
+        children_of.entry(node.parent_id()).or_default().push(node);
     }
     drop(reg);
     for kids in children_of.values_mut() {
@@ -491,12 +491,7 @@ pub fn chrome_trace_json() -> String {
 /// # Errors
 /// When the file cannot be written.
 pub fn export_chrome_trace(path: &std::path::Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, chrome_trace_json())
+    crate::write_creating_parent(path, &chrome_trace_json())
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use dc_grammar::frontier::Frontier;
 use dc_grammar::grammar::Grammar;
 use dc_grammar::library::LibraryItem;
 use dc_recognition::RecognitionModel;
-use dc_tasks::domain::Domain;
+use dc_tasks::domain::{Domain, FEATURE_DIM};
 use dc_tasks::task::Task;
 use dc_vspace::joint_score;
 use rand::seq::SliceRandom;
@@ -91,7 +91,7 @@ impl<'d> DreamCoder<'d> {
         let recognition = config.condition.recognition_head().map(|(param, _)| {
             RecognitionModel::new(
                 library,
-                domain.feature_dim(),
+                FEATURE_DIM,
                 config.recognition.hidden_dim,
                 param,
                 LEARNING_RATE,
@@ -184,7 +184,7 @@ impl<'d> DreamCoder<'d> {
                     mlp,
                     Arc::clone(&grammar.library),
                     parameterization,
-                    domain.feature_dim(),
+                    FEATURE_DIM,
                 )
                 .map_err(CheckpointError::Recognition)?;
                 if !ckpt.stats.is_empty() {

@@ -285,6 +285,7 @@ mod tests {
     use dc_lambda::primitives::base_primitives;
     use dc_lambda::types::{tint, tlist, Type};
     use dc_recognition::Parameterization;
+    use dc_tasks::domain::Corpus;
     use dc_tasks::domains::list::ListDomain;
     use rand::SeedableRng;
 
@@ -397,45 +398,33 @@ mod tests {
         );
     }
 
+    /// A task-free corpus over the base primitives.
+    fn stub_corpus(name: &'static str, dream_requests: Vec<Type>) -> Corpus {
+        Corpus {
+            name,
+            primitives: base_primitives(),
+            train: Vec::new(),
+            test: Vec::new(),
+            dream_requests,
+        }
+    }
+
     #[test]
     fn dream_sleep_survives_a_domain_with_no_dream_requests() {
-        use dc_lambda::primitives::PrimitiveSet;
-        use dc_lambda::types::Type;
         use rand::RngCore;
 
         /// A stub domain that offers no request types to dream at.
-        struct Dreamless {
-            prims: PrimitiveSet,
-            tasks: Vec<Task>,
-        }
+        struct Dreamless(Corpus);
         impl Domain for Dreamless {
-            fn name(&self) -> &str {
-                "dreamless"
-            }
-            fn primitives(&self) -> &PrimitiveSet {
-                &self.prims
-            }
-            fn train_tasks(&self) -> &[Task] {
-                &self.tasks
-            }
-            fn test_tasks(&self) -> &[Task] {
-                &self.tasks
-            }
-            fn feature_dim(&self) -> usize {
-                2
-            }
-            fn dream_requests(&self) -> Vec<Type> {
-                Vec::new()
+            fn corpus(&self) -> &Corpus {
+                &self.0
             }
             fn dream(&self, _: &Expr, _: &Type, _: &mut dyn RngCore) -> Option<Task> {
                 None
             }
         }
 
-        let domain = Dreamless {
-            prims: base_primitives(),
-            tasks: Vec::new(),
-        };
+        let domain = Dreamless(stub_corpus("dreamless", Vec::new()));
         let lib = domain.initial_library();
         let g = Grammar::uniform(Arc::clone(&lib));
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
@@ -472,42 +461,20 @@ mod tests {
 
     #[test]
     fn a_panicking_dream_evaluator_degrades_to_skipped_fantasies() {
-        use dc_lambda::primitives::PrimitiveSet;
         use rand::RngCore;
 
         /// A stub domain whose dream executor always panics.
-        struct PoisonedDreams {
-            prims: PrimitiveSet,
-            tasks: Vec<Task>,
-        }
+        struct PoisonedDreams(Corpus);
         impl Domain for PoisonedDreams {
-            fn name(&self) -> &str {
-                "poisoned-dreams"
-            }
-            fn primitives(&self) -> &PrimitiveSet {
-                &self.prims
-            }
-            fn train_tasks(&self) -> &[Task] {
-                &self.tasks
-            }
-            fn test_tasks(&self) -> &[Task] {
-                &self.tasks
-            }
-            fn feature_dim(&self) -> usize {
-                2
-            }
-            fn dream_requests(&self) -> Vec<Type> {
-                vec![tint()]
+            fn corpus(&self) -> &Corpus {
+                &self.0
             }
             fn dream(&self, _: &Expr, _: &Type, _: &mut dyn RngCore) -> Option<Task> {
                 panic!("injected dream panic");
             }
         }
 
-        let domain = PoisonedDreams {
-            prims: base_primitives(),
-            tasks: Vec::new(),
-        };
+        let domain = PoisonedDreams(stub_corpus("poisoned-dreams", vec![tint()]));
         let lib = domain.initial_library();
         let g = Grammar::uniform(Arc::clone(&lib));
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
@@ -555,7 +522,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
         let mut model = RecognitionModel::new(
             Arc::clone(&lib),
-            domain.feature_dim(),
+            dc_tasks::FEATURE_DIM,
             16,
             Parameterization::Bigram,
             0.01,

@@ -11,7 +11,7 @@ use dc_wakesleep::checkpoint::{latest_checkpoint, Checkpoint, CheckpointError};
 use dc_wakesleep::{Condition, DreamCoder, DreamCoderConfig};
 use rand::SeedableRng;
 
-use dc_tasks::domain::Domain;
+use dc_tasks::domain::{Domain, FEATURE_DIM};
 use dc_tasks::domains::list::ListDomain;
 
 /// Small nats budgets and few fantasies, for a quick seeded run.
@@ -214,7 +214,7 @@ fn resume_rejects_mismatched_runs() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
     let mut narrow_input = ckpt.clone();
     narrow_input.recognition = Some(Mlp::new(
-        &[domain.feature_dim() - 1, 8, mlp.output_dim()],
+        &[FEATURE_DIM - 1, 8, mlp.output_dim()],
         0.01,
         &mut rng,
     ));

@@ -11,39 +11,13 @@ use std::str::FromStr;
 
 use dreamcoder::grammar::enumeration::EnumerationConfig;
 use dreamcoder::grammar::Grammar;
-use dreamcoder::tasks::domains::list::ListDomain;
-use dreamcoder::tasks::domains::logo::LogoDomain;
-use dreamcoder::tasks::domains::origami::OrigamiDomain;
-use dreamcoder::tasks::domains::physics::PhysicsDomain;
-use dreamcoder::tasks::domains::regex::RegexDomain;
-use dreamcoder::tasks::domains::symreg::SymRegDomain;
-use dreamcoder::tasks::domains::text::TextDomain;
-use dreamcoder::tasks::domains::tower::TowerDomain;
-use dreamcoder::tasks::Domain;
+use dreamcoder::tasks::domains;
 use dreamcoder::wakesleep::sleep::MAP_FANTASY_NATS;
 use dreamcoder::wakesleep::{
     forensics_report, latest_checkpoint, search_task, Checkpoint, Condition, DreamCoder,
     DreamCoderConfig, Guide, RecognitionConfig,
 };
 use std::sync::Arc;
-
-const DOMAINS: &[&str] = &[
-    "list", "text", "logo", "tower", "regex", "symreg", "physics", "origami",
-];
-
-fn make_domain(name: &str, seed: u64) -> Option<Box<dyn Domain>> {
-    Some(match name {
-        "list" => Box::new(ListDomain::new(seed)),
-        "text" => Box::new(TextDomain::new(seed)),
-        "logo" => Box::new(LogoDomain::new(seed)),
-        "tower" => Box::new(TowerDomain::new(seed)),
-        "regex" => Box::new(RegexDomain::new(seed)),
-        "symreg" => Box::new(SymRegDomain::new(seed)),
-        "physics" => Box::new(PhysicsDomain::new(seed)),
-        "origami" => Box::new(OrigamiDomain::new(seed)),
-        _ => return None,
-    })
-}
 
 fn parse_condition(name: &str) -> Option<Condition> {
     Some(match name {
@@ -207,8 +181,8 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "domains" => {
             println!("available domains:");
-            for name in DOMAINS {
-                let d = make_domain(name, 0).expect("known");
+            for (name, make) in domains::ALL {
+                let d = make(0);
                 println!(
                     "  {name:<8} {:>3} train / {:>2} test tasks, {} primitives",
                     d.train_tasks().len(),
@@ -255,7 +229,7 @@ fn main() -> ExitCode {
             else {
                 return ExitCode::FAILURE;
             };
-            let Some(domain) = make_domain(&domain_name, seed) else {
+            let Some(domain) = domains::by_name(&domain_name, seed) else {
                 eprintln!("unknown domain {domain_name:?}; try `dreamcoder domains`");
                 return ExitCode::FAILURE;
             };
@@ -437,7 +411,7 @@ fn main() -> ExitCode {
             let Some(task_name) = args.flag("--task") else {
                 return usage();
             };
-            let Some(domain) = make_domain(&domain_name, 0) else {
+            let Some(domain) = domains::by_name(&domain_name, 0) else {
                 eprintln!("unknown domain {domain_name:?}");
                 return ExitCode::FAILURE;
             };

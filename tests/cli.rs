@@ -1,7 +1,8 @@
 //! The `dreamcoder` binary refuses a command line it cannot read in full
 //! (a numeric flag it cannot parse, an unknown token, a value flag with
-//! no value) instead of running with defaults, and a run it does read
-//! explains each task's search.
+//! no value, a domain it does not know) instead of running with
+//! defaults, lists its domains, and a run it does read explains each
+//! task's search.
 
 use std::process::{Command, Output};
 
@@ -105,4 +106,31 @@ fn a_run_prints_its_search_forensics() {
     for column in ["outcome", "nats", "enum", "typed-out", "best logP"] {
         assert!(header.contains(column), "{header}");
     }
+}
+
+#[test]
+fn domains_lists_every_domain_with_its_corpus() {
+    let output = dreamcoder("domains");
+    assert!(output.status.success(), "{output:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        "available domains:
+  list      46 train / 23 test tasks, 23 primitives
+  text      20 train / 10 test tasks, 38 primitives
+  logo       8 train /  8 test tasks, 23 primitives
+  tower      7 train /  7 test tasks, 12 primitives
+  regex     10 train /  5 test tasks, 18 primitives
+  symreg    12 train /  6 test tasks, 8 primitives
+  physics   60 train /  0 test tasks, 15 primitives
+  origami   20 train /  0 test tasks, 13 primitives
+"
+    );
+}
+
+#[test]
+fn unknown_domains_are_errors() {
+    assert_refused(&[
+        ("unknown domain \"nope\"", "run --domain nope"),
+        ("unknown domain \"nope\"", "solve --domain nope --task head"),
+    ]);
 }

@@ -10,7 +10,7 @@ use dreamcoder::lambda::primitives::base_primitives;
 use dreamcoder::lambda::Expr;
 use dreamcoder::recognition::{Parameterization, RecognitionModel, TrainingExample};
 use dreamcoder::tasks::domains::list::ListDomain;
-use dreamcoder::tasks::Domain;
+use dreamcoder::tasks::{Domain, FEATURE_DIM};
 use dreamcoder::wakesleep::{search_task, Guide};
 use rand::SeedableRng;
 
@@ -21,7 +21,7 @@ fn trained_recognition_prefers_the_right_programs_per_task() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
     let mut model = RecognitionModel::new(
         Arc::clone(&lib),
-        domain.feature_dim(),
+        FEATURE_DIM,
         32,
         Parameterization::Bigram,
         0.01,
@@ -76,7 +76,7 @@ fn guided_search_still_solves_tasks() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
     let model = RecognitionModel::new(
         Arc::clone(&lib),
-        domain.feature_dim(),
+        FEATURE_DIM,
         16,
         Parameterization::Bigram,
         0.01,
@@ -134,7 +134,7 @@ fn untrained_residual_model_matches_generative_prior() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
     let mut model = RecognitionModel::new(
         Arc::clone(&lib),
-        domain.feature_dim(),
+        FEATURE_DIM,
         32,
         Parameterization::Bigram,
         0.01,
